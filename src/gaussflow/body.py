@@ -67,14 +67,6 @@ class BodyGeometry:
     lam_min: NDArray
     gradient: NDArray
 
-    @property
-    def sigma_n_minus_1(self) -> NDArray:
-        """trace(adj A): equals trace(A) for n=2 and 1 for n=1."""
-        n = self.A.shape[1]
-        if n == 1:
-            return np.ones(self.A.shape[0])
-        return self.A[:, 0, 0] + self.A[:, 1, 1]
-
 
 def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
     hess, grad = sg.frame_hessian(grid, values)
@@ -184,8 +176,12 @@ def boundary_points(u: SupportFunction) -> NDArray:
 
 
 def hausdorff_distance(u1: SupportFunction, u2: SupportFunction) -> float:
-    """Max absolute support difference; requires a common grid and basepoint."""
-    if u1.grid is not u2.grid:
+    """Max absolute support difference; requires a common grid and basepoint.
+
+    Grids are compared by (dim, bandlimit), which fixes their nodes, so a
+    grid built directly or evicted from the `build_grid` cache still matches.
+    """
+    if (u1.grid.dim, u1.grid.bandlimit) != (u2.grid.dim, u2.grid.bandlimit):
         raise GridMismatch("support functions live on different grids")
     if not np.allclose(u1.basepoint, u2.basepoint, atol=1e-12):
         raise GridMismatch("support functions use different basepoints")

@@ -7,11 +7,22 @@ bandlimit on the sphere. Fields resolved below the bandlimit are
 differentiated to near machine accuracy.
 
 The circle grid uses 4L uniform angles. The sphere grid pairs L+1
-Gauss-Legendre colatitudes with 2L+2 equally spaced longitudes, so that
-every node has its exact antipode on the grid and quadrature integrates
-products of harmonics up to combined degree 2L. There are no nodes at
-the poles; point evaluation anywhere (poles included) goes through
-coefficient space via `evaluate_at`.
+Gauss-Legendre colatitudes (rings) with 2L+2 equally spaced longitudes,
+so that every node has its exact antipode on the grid and quadrature
+integrates products of harmonics up to combined degree 2L. There are no
+nodes at the poles; point evaluation anywhere (poles included) goes
+through coefficient space via `evaluate_at`.
+
+Sphere transforms are separable (Driscoll-Healy 1994; the per-order
+layout of SHTns, Schaeffer 2013). A Fourier stage takes each latitude
+ring against cos(m phi) and sin(m phi), m <= L, as one matmul: a ring
+holds only 2L+2 points, often of awkward length for an FFT (34 = 2*17 at
+L = 16), and the matmul is faster than an FFT call at the bandlimits
+used here while costing O(L^3) like the next stage. A Legendre stage
+then does, for every order m, one matmul against the normalized
+associated Legendre values P_l^m, and their first and second colatitude
+derivatives, at the L+1 rings. The tables hold O(L^3) numbers and no
+node-by-coefficient matrix is formed.
 
 Grids are immutable after construction and safe to share across
 threads; `build_grid` memoizes construction per (dim, bandlimit).
@@ -19,6 +30,7 @@ threads; `build_grid` memoizes construction per (dim, bandlimit).
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -48,6 +60,11 @@ _TAIL_MESSAGE = (
     "field is marginally resolved: top 10% of spectral modes carry more "
     "than 1e-8 of the energy"
 )
+
+# Colatitude orders and longitude orders of the derivatives synthesized
+# on the sphere: the value alone, and u_t, u_p, u_tt, u_tp, u_pp.
+_VALUE = (np.array([0]), np.array([0]))
+_FRAME_DERIVATIVES = (np.array([1, 0, 2, 1, 0]), np.array([0, 1, 0, 1, 2]))
 
 
 def sphere_area(dim: int) -> float:
@@ -86,6 +103,14 @@ class SphereGrid:
     h_min : float
         Smallest spacing between neighbouring nodes (step-size control).
 
+    The sphere nodes are stored ring by ring (node = ring * (2L+2) +
+    longitude index), so a field reshapes to one row per ring. Its
+    read-only transform tables are cos/sin(m phi) and their longitude
+    derivatives at the ring longitudes (4 (2L+2)^2 numbers), and P,
+    dP/dtheta and d2P/dtheta2 at the rings laid out per order m, with the
+    quadrature weights folded into an analysis copy of P (4 (L+1)^3
+    numbers). All arrays of the L = 32 grid take about 1.4 MB.
+
     Use :func:`build_grid` rather than the constructor; grids are cached.
     """
 
@@ -99,8 +124,9 @@ class SphereGrid:
             self._init_circle(bandlimit)
         else:
             self._init_sphere(bandlimit)
-        for arr in (self.nodes, self.weights, self.antipode, self.thetas):
-            arr.setflags(write=False)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     # -- construction -------------------------------------------------
 
@@ -113,7 +139,6 @@ class SphereGrid:
         self.weights = np.full(N, 2.0 * np.pi / N)
         self.antipode = (np.arange(N) + N // 2) % N
         self.tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
-        self.tangent.setflags(write=False)
         self.h_min = 2.0 * np.pi / N
         # coefficient layout: [const, cos 1..L, sin 1..L], orthonormal
         self.coeff_count = 2 * L + 1
@@ -134,7 +159,6 @@ class SphereGrid:
         cp, sp = np.cos(phi), np.sin(phi)
         self.thetas = theta
         self.phis = phi
-        self.phis.setflags(write=False)
         self.nodes = np.column_stack([st * cp, st * sp, ct])
         self.weights = np.repeat(wt1, nphi) * (2.0 * np.pi / nphi)
 
@@ -145,55 +169,36 @@ class SphereGrid:
         # orthonormal tangent frame of spherical coordinates
         self.tangent = np.column_stack([ct * cp, ct * sp, -st])    # e_theta
         self.tangent2 = np.column_stack([-sp, cp, np.zeros_like(sp)])  # e_phi
-        self.tangent.setflags(write=False)
-        self.tangent2.setflags(write=False)
+        self._inv_sin = 1.0 / st
+        self._cot = ct / st
 
         dtheta = np.diff(theta1)
         self.h_min = float(min(dtheta.min(), np.sin(theta1).min() * 2.0 * np.pi / nphi))
 
+        # coefficient b = l^2 + l + m is entry [|m|, l, m < 0] of the
+        # per-order pairs (c_{l,|m|}, c_{l,-|m|})
         self.coeff_count = (L + 1) ** 2
-        degs = np.zeros(self.coeff_count, dtype=int)
-        for ell in range(L + 1):
-            degs[ell * ell: (ell + 1) ** 2] = ell
-        self._degrees = degs
+        ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+        m = np.arange(self.coeff_count) - ell * (ell + 1)
+        self._degrees = ell
+        self._pair_index = (np.abs(m) * (L + 1) + ell) * 2 + (m < 0)
 
-        self._build_sphere_matrices(L, theta1, phi1, st, ct)
-
-    def _build_sphere_matrices(self, L, theta1, phi1, st_nodes, ct_nodes) -> None:
-        nt, nphi = theta1.size, phi1.size
-        M, B = nt * nphi, (L + 1) ** 2
-        P, dP, d2P = _legendre_tables(L, theta1, derivatives=True)
-
-        Y = np.zeros((M, B))
-        Yt = np.zeros((M, B))
-        Yp = np.zeros((M, B))
-        Ytt = np.zeros((M, B))
-        Ytp = np.zeros((M, B))
-        Ypp = np.zeros((M, B))
-        for ell in range(L + 1):
-            for m in range(-ell, ell + 1):
-                b = ell * ell + ell + m
-                am = abs(m)
-                tr, dtr = _trig_pair(m, phi1)
-                Y[:, b] = np.outer(P[ell, am], tr).ravel()
-                Yt[:, b] = np.outer(dP[ell, am], tr).ravel()
-                Yp[:, b] = np.outer(P[ell, am], dtr).ravel()
-                Ytt[:, b] = np.outer(d2P[ell, am], tr).ravel()
-                Ytp[:, b] = np.outer(dP[ell, am], dtr).ravel()
-                Ypp[:, b] = -am * am * Y[:, b]
-
-        inv_st = (1.0 / st_nodes)[:, None]
-        cot = (ct_nodes / st_nodes)[:, None]
-        G1 = Yt
-        G2 = Yp * inv_st
-        H11 = Ytt
-        H12 = (Ytp - cot * Yp) * inv_st
-        H22 = Ypp * inv_st * inv_st + cot * Yt
-        # stacked synthesis: rows [value; grad_theta; grad_phi; H11; H12; H22]
-        self._synth = np.ascontiguousarray(np.vstack([Y, G1, G2, H11, H12, H22]))
-        self._analysis = np.ascontiguousarray((Y * self.weights[:, None]).T)
-        self._synth.setflags(write=False)
-        self._analysis.setflags(write=False)
+        # Fourier stage: row 2m + 0/1 of _ring_idft[p] is the p-th
+        # longitude derivative of cos/sin(m phi) at the ring longitudes
+        orders = np.arange(L + 1)
+        m_phi = np.outer(orders, phi1)
+        c, s, m = np.cos(m_phi), np.sin(m_phi), orders[:, None]
+        idft = np.array([[c, s], [-m * s, m * c], [-m * m * c, -m * m * s]])
+        self._ring_idft = idft.transpose(0, 2, 1, 3).reshape(3, 2 * nt, nphi)
+        self._ring_dft = self._ring_idft[0].T.copy()
+        # Legendre stage: per order, P (with the quadrature weights) for
+        # analysis and P, dP, d2P for synthesis; sqrt(2) for m > 0
+        order_scale = np.where(orders > 0, np.sqrt(2.0), 1.0)[:, None]
+        P, dP, d2P = _legendre_tables(L, theta1, derivatives=True)  # [l, m, ring]
+        quad = wt1 * (2.0 * np.pi / nphi) * order_scale
+        self._ring_analysis = np.ascontiguousarray((P * quad).transpose(1, 0, 2))
+        tables = np.stack([P, dP, d2P]) * order_scale
+        self._ring_synthesis = np.ascontiguousarray(tables.transpose(0, 2, 3, 1))
 
     # -- small conveniences -------------------------------------------
 
@@ -205,50 +210,63 @@ class SphereGrid:
         return f"SphereGrid(dim={self.dim}, bandlimit={self.bandlimit}, nodes={self.node_count})"
 
 
-def _trig_pair(m: int, phi: NDArray) -> tuple[NDArray, NDArray]:
-    """Longitude factor of the real harmonic of order m and its derivative."""
-    am = abs(m)
-    if m == 0:
-        return np.ones_like(phi), np.zeros_like(phi)
-    if m > 0:
-        c = np.sqrt(2.0) * np.cos(am * phi)
-        return c, -am * np.sqrt(2.0) * np.sin(am * phi)
-    s = np.sqrt(2.0) * np.sin(am * phi)
-    return s, am * np.sqrt(2.0) * np.cos(am * phi)
-
-
 def _legendre_tables(L: int, theta: NDArray, derivatives: bool = False):
     """Fully normalized associated Legendre values P[l, m] at the given
     colatitudes, such that P[l,m](theta) * sqrt(2)^{m>0} * cos/sin(m phi)
     is orthonormal on the sphere. Optionally also d/dtheta and d2/dtheta2
     (those require sin(theta) != 0).
     """
-    nt = theta.size
     ct, st = np.cos(theta), np.sin(theta)
-    P = np.zeros((L + 1, L + 1, nt))
+    P = np.zeros((L + 1, L + 1, theta.size))
     P[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
     for m in range(1, L + 1):
         P[m, m] = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[m - 1, m - 1]
-    for m in range(L):
-        P[m + 1, m] = np.sqrt(2.0 * m + 3.0) * ct * P[m, m]
-    for m in range(L + 1):
-        for ell in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            P[ell, m] = a * (ct * P[ell - 1, m] - b * P[ell - 2, m])
+    m = np.arange(L)
+    P[m + 1, m] = np.sqrt(2.0 * m + 3.0)[:, None] * ct * P[m, m]
+    for ell in range(2, L + 1):
+        m = np.arange(ell - 1)[:, None]
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        P[ell, : ell - 1] = a * (ct * P[ell - 1, : ell - 1] - b * P[ell - 2, : ell - 1])
     if not derivatives:
         return P
-    dP = np.zeros_like(P)
-    d2P = np.zeros_like(P)
-    for m in range(L + 1):
-        for ell in range(m, L + 1):
-            if ell == 0:
-                continue
-            c = np.sqrt((ell * ell - m * m) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
-            low = P[ell - 1, m] if ell - 1 >= m else 0.0
-            dP[ell, m] = (ell * ct * P[ell, m] - c * low) / st
-            d2P[ell, m] = -ct / st * dP[ell, m] - (ell * (ell + 1.0) - m * m / st**2) * P[ell, m]
+    ell = np.arange(L + 1)[:, None, None]
+    m = np.arange(L + 1)[:, None]
+    c = np.sqrt(np.maximum(ell * ell - m * m, 0) * (2.0 * ell + 1.0) / (2.0 * ell - 1.0))
+    low = np.concatenate([np.zeros_like(P[:1]), P[:-1]])  # P[l-1, m]
+    dP = (ell * ct * P - c * low) / st
+    d2P = -ct / st * dP - (ell * (ell + 1.0) - m * m / st**2) * P
     return P, dP, d2P
+
+
+def _sphere_analysis(grid: SphereGrid, values: NDArray) -> NDArray:
+    """Harmonic coefficients of sphere node values as per-order pairs,
+    shape (L+1, L+1, 2) indexed [m, l]: a Fourier transform along each
+    ring, then one Legendre quadrature matmul per order."""
+    L = grid.bandlimit
+    ring_sums = values.reshape(L + 1, 2 * L + 2) @ grid._ring_dft   # [ring, (m, pair)]
+    return grid._ring_analysis @ ring_sums.reshape(L + 1, L + 1, 2).swapaxes(0, 1)
+
+
+def _sphere_synthesis(grid: SphereGrid, pairs: NDArray, derivatives) -> NDArray:
+    """Node values of derivatives of the field with these per-order pairs,
+    one row per colatitude order t and longitude order p in
+    `derivatives` = (t, p): one Legendre matmul per order, then a Fourier
+    synthesis along each ring."""
+    L = grid.bandlimit
+    t, p = derivatives
+    per_order = grid._ring_synthesis[: t.max() + 1] @ pairs         # [t, m, ring, pair]
+    per_ring = per_order.swapaxes(1, 2)[t].reshape(len(t), L + 1, 2 * L + 2)
+    return (per_ring @ grid._ring_idft[p]).reshape(len(t), grid.node_count)
+
+
+def _tail_fraction(power: NDArray, bandlimit: int) -> float:
+    """Share of `power` at frequency or degree >= 0.9 * bandlimit; the
+    first axis of `power` is the frequency (circle) or degree (sphere)."""
+    total = power.sum()
+    if total == 0.0:
+        return 0.0
+    return float(power[math.ceil(0.9 * bandlimit):].sum() / total)
 
 
 @lru_cache(maxsize=8)
@@ -299,7 +317,8 @@ def analyze(grid: SphereGrid, values: NDArray) -> NDArray:
     """
     values = _check_values(grid, values)
     if grid.dim == 2:
-        return grid._analysis @ values
+        pairs = _sphere_analysis(grid, values)
+        return pairs.ravel()[grid._pair_index]
     N, L = grid.node_count, grid.bandlimit
     ch = np.fft.rfft(values)
     out = np.empty(2 * L + 1)
@@ -314,9 +333,11 @@ def synthesize(grid: SphereGrid, coeffs: NDArray) -> NDArray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.coeff_count,):
         raise ValueError(f"expected {grid.coeff_count} coefficients, got {coeffs.shape}")
-    if grid.dim == 2:
-        return grid._synth[: grid.node_count] @ coeffs
     N, L = grid.node_count, grid.bandlimit
+    if grid.dim == 2:
+        pairs = np.zeros((L + 1, L + 1, 2))
+        pairs.ravel()[grid._pair_index] = coeffs
+        return _sphere_synthesis(grid, pairs, _VALUE)[0]
     ch = np.zeros(N // 2 + 1, dtype=complex)
     ch[0] = coeffs[0] * N / np.sqrt(2.0 * np.pi)
     ch[1: L + 1] = (coeffs[1: L + 1] - 1j * coeffs[L + 1:]) * N / (2.0 * np.sqrt(np.pi))
@@ -327,28 +348,10 @@ def project(grid: SphereGrid, values: NDArray) -> NDArray:
     """Project node values onto the space resolved by the bandlimit."""
     values = _check_values(grid, values)
     if grid.dim == 2:
-        return grid._synth[: grid.node_count] @ (grid._analysis @ values)
+        return _sphere_synthesis(grid, _sphere_analysis(grid, values), _VALUE)[0]
     c = np.fft.rfft(values)
     c[grid.bandlimit + 1:] = 0.0
     return np.fft.irfft(c, n=grid.node_count)
-
-
-def _tail_fraction_circle(grid: SphereGrid, ch: NDArray) -> float:
-    power = np.abs(ch) ** 2
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    start = int(np.ceil(0.9 * grid.bandlimit))
-    return float(power[start:].sum() / total)
-
-
-def _tail_fraction_sphere(grid: SphereGrid, c: NDArray) -> float:
-    power = c * c
-    total = power.sum()
-    if total == 0.0:
-        return 0.0
-    start = int(np.ceil(0.9 * grid.bandlimit))
-    return float(power[grid._degrees >= start].sum() / total)
 
 
 def spectral_tail(grid: SphereGrid, values: NDArray) -> float:
@@ -359,8 +362,9 @@ def spectral_tail(grid: SphereGrid, values: NDArray) -> float:
     """
     values = _check_values(grid, values)
     if grid.dim == 1:
-        return _tail_fraction_circle(grid, np.fft.rfft(values))
-    return _tail_fraction_sphere(grid, grid._analysis @ values)
+        return _tail_fraction(np.abs(np.fft.rfft(values)) ** 2, grid.bandlimit)
+    pairs = _sphere_analysis(grid, values)
+    return _tail_fraction(np.square(pairs).swapaxes(0, 1), grid.bandlimit)
 
 
 def frame_hessian(grid: SphereGrid, values: NDArray) -> tuple[NDArray, NDArray]:
@@ -388,21 +392,21 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> tuple[NDArray, NDArray]:
     M = grid.node_count
     if grid.dim == 1:
         ch = np.fft.rfft(values)
-        if _tail_fraction_circle(grid, ch) > TAIL_WARN_THRESHOLD:
+        if _tail_fraction(np.abs(ch) ** 2, grid.bandlimit) > TAIL_WARN_THRESHOLD:
             warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
         k = np.arange(ch.size)
         der = np.fft.irfft(np.vstack([1j * k * ch, -(k * k) * ch]), n=M, axis=-1)
         return der[1].reshape(M, 1, 1), der[0].reshape(M, 1)
-    c = grid._analysis @ values
-    if _tail_fraction_sphere(grid, c) > TAIL_WARN_THRESHOLD:
+    pairs = _sphere_analysis(grid, values)
+    if _tail_fraction(np.square(pairs).swapaxes(0, 1), grid.bandlimit) > TAIL_WARN_THRESHOLD:
         warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
-    q = (grid._synth @ c).reshape(6, M)
-    grad = np.stack([q[1], q[2]], axis=1)
+    u_t, u_p, u_tt, u_tp, u_pp = _sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES)
+    inv_st, cot = grid._inv_sin, grid._cot
+    grad = np.stack([u_t, u_p * inv_st], axis=1)
     hess = np.empty((M, 2, 2))
-    hess[:, 0, 0] = q[3]
-    hess[:, 0, 1] = q[4]
-    hess[:, 1, 0] = q[4]
-    hess[:, 1, 1] = q[5]
+    hess[:, 0, 0] = u_tt
+    hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot * u_p) * inv_st
+    hess[:, 1, 1] = u_pp * inv_st * inv_st + cot * u_t
     return hess, grad
 
 
@@ -427,15 +431,10 @@ def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,
     if phis is None:
         raise ValueError("phis required for sphere grids")
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    c = grid._analysis @ values
     L = grid.bandlimit
-    P = _legendre_tables(L, thetas, derivatives=False)
-    out = np.zeros(thetas.shape)
-    for ell in range(L + 1):
-        for m in range(-ell, ell + 1):
-            b = ell * ell + ell + m
-            if c[b] == 0.0:
-                continue
-            tr, _ = _trig_pair(m, phis)
-            out += c[b] * P[ell, abs(m)] * tr
-    return out
+    # per order m: sum_l P[l,m](theta) (c_{l,m}, c_{l,-m}), then against
+    # (cos m phi, sin m phi), with sqrt(2) for m > 0
+    z = np.einsum("lmp,mlc->cmp", _legendre_tables(L, thetas), _sphere_analysis(grid, values))
+    z[:, 1:] *= np.sqrt(2.0)
+    angle = np.arange(L + 1)[:, None] * phis
+    return (z[0] * np.cos(angle) + z[1] * np.sin(angle)).sum(axis=0)

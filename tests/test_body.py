@@ -203,6 +203,17 @@ def test_hausdorff_distance():
         gb.hausdorff_distance(u1, gb.support_about(u2, np.array([0.2, 0.0])))
 
 
+def test_hausdorff_distance_matches_equal_grids():
+    # grids are equal by (dim, bandlimit), not by identity: a directly
+    # constructed grid is not the cached one (nor is one rebuilt after
+    # cache eviction)
+    direct = sg.SphereGrid(1, 16)
+    assert direct is not sg.build_grid(1, 16)
+    assert gb.hausdorff_distance(gb.ball(direct), gb.ball(sg.build_grid(1, 16))) == 0.0
+    with pytest.raises(GridMismatch):
+        gb.hausdorff_distance(gb.ball(direct), gb.ball(sg.SphereGrid(2, 16)))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_random_body_contract(dim):
     u = gb.random_body(42, dim, 8, 0.0)

@@ -5,6 +5,7 @@ a couple of subprocess smoke tests cover the module entry point.
 """
 
 import json
+import platform
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -268,12 +269,11 @@ class TestSweep:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
 
-    def test_worker_env_override_keeps_bytes(self, tmp_path, monkeypatch):
+    def test_worker_count_keeps_bytes(self, tmp_path):
         args = ["sweep", "--alpha", "1", "--seeds", "0,1", "--dim", "1",
                 "--bandlimit", "8", "--symmetric", "--t-end", "2"]
-        assert main(args + ["--out-dir", str(tmp_path / "a")]) == 0
-        monkeypatch.setenv("GAUSSFLOW_WORKERS", "2")
-        assert main(args + ["--out-dir", str(tmp_path / "b")]) == 0
+        assert main(args + ["--workers", "1", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(args + ["--workers", "2", "--out-dir", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
                (tmp_path / "b" / "sweep.csv").read_bytes()
 
@@ -353,3 +353,30 @@ class TestEntryPoint:
             [sys.executable, "-m", "gaussflow.cli", "verify", "--bogus"],
             capture_output=True, text=True)
         assert proc.returncode == 3
+
+
+# Page faults of repeated width/radius LPs at n=2, L=32 after the CLI has
+# run once in a fresh interpreter.
+_LP_FAULTS_SCRIPT = """
+import resource, sys
+from gaussflow import body as gb, fileio
+from gaussflow.cli import main
+path = sys.argv[1]
+assert main(["make-body", "--dim", "2", "--bandlimit", "32", "--shape", "random",
+             "--seed", "5", "--out", path]) == 0
+u = fileio.read_body(path)
+gb.width_radii(u)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    gb.width_radii(u)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's")
+def test_lp_solves_do_not_refault_the_heap(tmp_path):
+    # Two LPs per call free about 3.4 MB between them; returned to the
+    # system each time, they would fault in some 860 pages per call.
+    proc = subprocess.run([sys.executable, "-c", _LP_FAULTS_SCRIPT, str(tmp_path / "b.json")],
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout.split()[-1]) < 100

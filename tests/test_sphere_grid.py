@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import sph_harm_y
 
 from gaussflow import sphere_grid as sg
 
@@ -69,7 +70,7 @@ def test_integrate_shape_mismatch():
         sg.integrate(grid, np.ones(5))
 
 
-@pytest.mark.parametrize("dim,L", [(1, 8), (2, 8), (2, 11)])
+@pytest.mark.parametrize("dim,L", [(1, 8), (2, 8), (2, 11), (2, 32)])
 def test_basis_orthonormal_under_quadrature(dim, L):
     grid = sg.build_grid(dim, L)
     B = grid.coeff_count
@@ -201,3 +202,45 @@ def test_evaluate_at_poles_is_finite():
 
 def test_build_grid_is_cached():
     assert sg.build_grid(1, 8) is sg.build_grid(1, 8)
+
+
+def real_harmonic(ell, m, theta, phi):
+    """Real orthonormal harmonic of degree ell and order m from scipy's
+    complex Y_l^|m| (Condon-Shortley phase undone by (-1)^m)."""
+    y = sph_harm_y(ell, abs(m), theta, phi)
+    if m == 0:
+        return y.real
+    return np.sqrt(2.0) * (-1.0) ** m * (y.real if m > 0 else y.imag)
+
+
+def test_sphere_basis_matches_scipy_harmonics_at_L32():
+    grid = sg.build_grid(2, 32)
+    for b in range(grid.coeff_count):
+        ell = int(grid._degrees[b])
+        m = b - ell * ell - ell
+        e = np.zeros(grid.coeff_count)
+        e[b] = 1.0
+        assert_allclose(sg.synthesize(grid, e),
+                        real_harmonic(ell, m, grid.thetas, grid.phis),
+                        atol=1e-12, err_msg=f"l={ell} m={m}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # top-degree mode trips the tail check
+@pytest.mark.parametrize("m", [-32, -31, -16, -1, 0, 1, 17, 31, 32])
+def test_sphere_hessian_trace_is_laplacian_at_top_degree(m):
+    ell = 32
+    grid = sg.build_grid(2, ell)
+    e = np.zeros(grid.coeff_count)
+    e[ell * ell + ell + m] = 1.0
+    y = sg.synthesize(grid, e)
+    hess, _ = sg.frame_hessian(grid, y)
+    lap = hess[:, 0, 0] + hess[:, 1, 1]
+    scale = ell * (ell + 1) * np.abs(y).max()
+    assert np.abs(lap + ell * (ell + 1) * y).max() < 1e-10 * scale
+
+
+def test_sphere_grid_memory_is_cubic_in_bandlimit():
+    # no node-by-coefficient matrix: at L = 32 one of those alone is 19 MB
+    grid = sg.build_grid(2, 32)
+    held = sum(v.nbytes for v in vars(grid).values() if isinstance(v, np.ndarray))
+    assert held < 8e6
