@@ -42,6 +42,10 @@ from .errors import GaussFlowError, StepFailure
 __all__ = ["RunConfig", "main"]
 
 
+_SHAPES = ("ball", "ellipse", "random")
+_SUITES = ("ball", "fuzz")
+
+
 class UsageError(Exception):
     """Bad arguments or config; maps to exit code 3."""
 
@@ -168,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-body", help="write a body file")
     common(p)
-    p.add_argument("--shape", choices=("ball", "ellipse", "random"),
-                   default=argparse.SUPPRESS)
+    p.add_argument("--shape", choices=_SHAPES, default=argparse.SUPPRESS)
     p.add_argument("--radius", type=float, default=argparse.SUPPRESS)
     p.add_argument("--axes", type=_float_list, default=argparse.SUPPRESS,
                    help="comma-separated semi-axes (dim+1 of them)")
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run inequality check suites")
     common(p)
-    p.add_argument("--suite", choices=("ball", "fuzz"), default=argparse.SUPPRESS)
+    p.add_argument("--suite", choices=_SUITES, default=argparse.SUPPRESS)
     p.add_argument("--alpha", type=_float_list, default=argparse.SUPPRESS,
                    help="exponent grid (default: built-in grid)")
     p.add_argument("--seeds", type=_int_list, default=argparse.SUPPRESS,
@@ -212,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exponent grid (required, nonempty)")
     p.add_argument("--seeds", type=_int_list, default=argparse.SUPPRESS)
     p.add_argument("--seed-count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--shape", choices=("ball", "ellipse", "random"),
-                   default=argparse.SUPPRESS)
+    p.add_argument("--shape", choices=_SHAPES, default=argparse.SUPPRESS)
     p.add_argument("--axes", type=_float_list, default=argparse.SUPPRESS)
     p.add_argument("--amplitude", type=float, default=argparse.SUPPRESS)
     p.add_argument("--symmetric", action="store_true", default=argparse.SUPPRESS)
@@ -246,6 +248,10 @@ def _validate(cfg: RunConfig) -> None:
     def fail(msg):
         raise UsageError(msg)
 
+    for key, allowed in (("shape", _SHAPES), ("suite", _SUITES), ("kind", gf.KINDS)):
+        value = getattr(cfg, key)
+        if value not in allowed:
+            fail(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
     if cfg.dim not in (1, 2):
         fail(f"dim must be 1 or 2, got {cfg.dim}")
     if cfg.bandlimit < 4:
@@ -370,25 +376,11 @@ def cmd_flow(cfg: RunConfig) -> int:
     return code
 
 
-def _ball_suite(dim: int, bandlimit: int, alphas) -> list:
-    u = gb.ball(sg.build_grid(dim, bandlimit))
-    reports = [gi.check_blaschke_santalo(u)]
-    reports.extend(gi.check_width_bounds(u))
-    reports.append(gi.check_affine_isoperimetric(u))
-    for alpha in alphas:
-        reports.append(gi.check_entropy_nonneg(u, alpha))
-        if alpha >= 1.0 / (dim + 2) - 1e-12:
-            reports.append(gi.check_z_vs_entropy(u, alpha))
-        if dim == 1 and (alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0):
-            reports.append(gi.check_entropy_stability(u, alpha))
-    return reports
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     alphas = tuple(cfg.alpha) if cfg.alpha else None
     if cfg.suite == "ball":
-        reports = _ball_suite(cfg.dim, cfg.bandlimit,
-                              alphas or gi.alpha_grid(cfg.dim))
+        reports = gi.body_checks(gb.ball(sg.build_grid(cfg.dim, cfg.bandlimit)),
+                                 alphas or gi.alpha_grid(cfg.dim))
     else:
         reports = []
         for seed in _resolve_seeds(cfg, default_count=10):

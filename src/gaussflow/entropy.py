@@ -35,8 +35,6 @@ __all__ = [
     "santalo_point",
     "SantaloPoint",
     "zalpha",
-    "weighted_dual_identities",
-    "WeightedDualReport",
     "concavity_probe",
     "steiner_point",
 ]
@@ -174,54 +172,6 @@ def zalpha(u: SupportFunction, alpha: float) -> float:
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
         return float(np.exp(sg.average(u.grid, np.log(K))))
     return float(sg.average(u.grid, K ** (alpha - 1.0)) ** (1.0 / (alpha - 1.0)))
-
-
-class WeightedDualReport(NamedTuple):
-    lhs: float
-    rhs: float
-    symmetric_difference_term: float
-
-
-def weighted_dual_identities(u: SupportFunction, z: NDArray,
-                             alpha: float) -> WeightedDualReport:
-    """Two independent routes to int u_z^(1-1/alpha) dtheta.
-
-    lhs: direct sphere quadrature of the power of the support function.
-    rhs: radial route through the polar-dual body (radial function
-    R = 1/u_z): per direction the weighted volume element r^(1/alpha-2-n)
-    integrates in closed form, and the integral is reassembled relative to
-    the unit ball as
-
-        omega_n - beta * (D + V_in - V_out),       beta = 1/alpha - 1,
-
-    where D >= 0 is the weighted measure of the symmetric difference
-    between the dual body and the unit ball (weight |r^(1/alpha-2) - r^n|
-    per direction) and V_in/V_out are the plain volumes of ball-minus-dual
-    and dual-minus-ball. For 0 < alpha < 1/(n+2) the weight comparison
-    flips and D enters with the opposite sign.
-
-    Requires alpha not in {0, 1}.
-    """
-    alpha = _check_alpha(alpha)
-    if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        raise ValueError("the radial decomposition needs alpha != 1")
-    grid = u.grid
-    n = u.dim
-    uz = _shifted(u, z)
-    beta = 1.0 / alpha - 1.0
-    R = 1.0 / uz
-    lhs = float(sg.integrate(grid, uz ** (1.0 - 1.0 / alpha)))
-
-    # per-direction closed-form antiderivatives between r = 1 and r = R
-    rad_beta = (R**beta - 1.0) / beta          # int_1^R r^(beta-1) dr
-    rad_vol = (R ** (n + 1) - 1.0) / (n + 1)   # int_1^R r^n dr
-    diff = rad_beta - rad_vol                  # signed weighted-minus-plain part
-    D = float(sg.integrate(grid, np.abs(diff)))
-    v_out = float(sg.integrate(grid, np.where(R >= 1.0, rad_vol, 0.0)))
-    v_in = float(-sg.integrate(grid, np.where(R < 1.0, rad_vol, 0.0)))
-    sign = -1.0 if 1.0 / alpha < n + 2 else 1.0  # weight vs r^n comparison
-    rhs = sg.sphere_area(n) + beta * (sign * D + (v_out - v_in))
-    return WeightedDualReport(lhs=lhs, rhs=float(rhs), symmetric_difference_term=D)
 
 
 def concavity_probe(u: SupportFunction, alpha: float, z1: NDArray,

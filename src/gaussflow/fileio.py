@@ -219,10 +219,8 @@ def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
         raise ValueError("OBJ export needs a 2-sphere body")
     grid = u.grid
     X = boundary_points(u)
-    poles = np.array([
-        [float(sg.evaluate_at(grid, X[:, i], t, 0.0)[0]) for i in range(3)]
-        for t in (0.0, np.pi)
-    ])
+    poles = np.column_stack([sg.evaluate_at(grid, X[:, i], [0.0, np.pi], [0.0, 0.0])
+                             for i in range(3)])
     nt = grid.bandlimit + 1
     nphi = 2 * grid.bandlimit + 2
     M = nt * nphi

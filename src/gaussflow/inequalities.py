@@ -15,7 +15,8 @@ slack convention, so a suite of checks over random bodies reduces to
   for negative exponents)
 - structural properties of flow solitons
 
-fuzz_suite bundles these over seeded random bodies and an exponent grid.
+body_checks is the per-body list that both verify suites run; fuzz_suite
+runs it over seeded random bodies and an exponent grid.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "check_entropy_stability",
     "check_soliton_properties",
     "alpha_grid",
+    "body_checks",
     "fuzz_suite",
 ]
 
@@ -141,8 +143,15 @@ def check_affine_isoperimetric(u: SupportFunction) -> CheckReport:
 
 def check_width_bounds(u: SupportFunction) -> list[CheckReport]:
     """Outradius vs max width and inradius vs min width, both directions
-    of each classical comparison."""
-    n = u.dim
+    of each classical comparison, in R^d with d = n+1. The sharp
+    constants are Jung's R <= D sqrt(d/(2(d+1))) (regular simplex) and
+    Steinhagen's r >= w/(2 sqrt(d)) for odd d, r >= w sqrt(d+2)/(2(d+1))
+    for even d (w/3 in the plane, equilateral triangle); see Bonnesen-
+    Fenchel, Theorie der konvexen Koerper (1934)."""
+    d = u.dim + 1
+    jung = math.sqrt(d / (2.0 * (d + 1)))
+    steinhagen = (1.0 / (2.0 * math.sqrt(d)) if d % 2
+                  else math.sqrt(d + 2.0) / (2.0 * (d + 1)))
     wr = gb.width_radii(u)
     scale = 1e-8 * max(wr.w_plus, 1.0)
     inputs = _digest(u)
@@ -150,11 +159,11 @@ def check_width_bounds(u: SupportFunction) -> list[CheckReport]:
         _one_sided("half-max-width-below-outradius", inputs,
                    0.5 * wr.w_plus, wr.rho_plus, scale),
         _one_sided("outradius-vs-max-width-factor", inputs,
-                   wr.rho_plus, wr.w_plus * math.sqrt(2.0 * (n + 1) / (n + 2)), scale),
+                   wr.rho_plus, wr.w_plus * jung, scale),
         _one_sided("inradius-below-half-min-width", inputs,
                    wr.rho_minus, 0.5 * wr.w_minus, scale),
         _one_sided("min-width-factor-below-inradius", inputs,
-                   wr.w_minus / (2.0 * math.sqrt(n + 1.0)), wr.rho_minus, scale),
+                   wr.w_minus * steinhagen, wr.rho_minus, scale),
     ]
 
 
@@ -282,36 +291,33 @@ def alpha_grid(dim: int) -> tuple[float, ...]:
     return tuple(out)
 
 
+def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
+    """The per-body check list of both suites.
+
+    Once per body: the dual-volume product, the width bounds and the
+    affine isoperimetric inequality; per exponent: entropy
+    nonnegativity, the curvature power mean bound (alpha >= 1/(n+2)
+    only), and for n=1 the curvature-image entropy bound (alpha >= 1/3
+    or alpha < 0)."""
+    reports = [check_blaschke_santalo(u)]
+    reports.extend(check_width_bounds(u))
+    reports.append(check_affine_isoperimetric(u))
+    for alpha in alphas:
+        reports.append(check_entropy_nonneg(u, alpha))
+        if alpha >= 1.0 / (u.dim + 2) - 1e-12:
+            reports.append(check_z_vs_entropy(u, alpha))
+        if u.dim == 1 and (alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0):
+            reports.append(check_entropy_stability(u, alpha))
+    return reports
+
+
 def fuzz_suite(dim: int, seeds, alphas=None, bandlimit: int | None = None,
                amplitude: float = 0.1) -> list[CheckReport]:
-    """All applicable checks over seeded random bodies and an exponent
-    grid; returns one flat list of reports.
-
-    Per body: the dual-volume product, width bounds, and the affine
-    isoperimetric inequality once; per exponent: entropy nonnegativity,
-    the curvature power mean bound (alpha >= 1/(n+2) only), the weighted
-    dual-volume identity (skipped at alpha = 1 where it is trivial), and
-    for n=1 the curvature-image entropy bound."""
+    """body_checks over seeded random bodies and an exponent grid (by
+    default alpha_grid(dim)); returns one flat list of reports."""
     if alphas is None:
         alphas = alpha_grid(dim)
     if bandlimit is None:
         bandlimit = 16 if dim == 1 else 8
-    reports = []
-    for seed in seeds:
-        u = gb.random_body(seed, dim, bandlimit, amplitude)
-        reports.append(check_blaschke_santalo(u))
-        reports.extend(check_width_bounds(u))
-        reports.append(check_affine_isoperimetric(u))
-        for alpha in alphas:
-            inputs = _digest(u, alpha=alpha, seed=seed)
-            reports.append(check_entropy_nonneg(u, alpha))
-            if alpha >= 1.0 / (dim + 2) - 1e-12:
-                reports.append(check_z_vs_entropy(u, alpha))
-            if abs(alpha - 1.0) > 1e-9:
-                z = ge.entropy_point(u, alpha).point
-                wd = ge.weighted_dual_identities(u, z, alpha)
-                reports.append(_equality("weighted-dual-volume-identity", inputs,
-                                         wd.lhs, wd.rhs, 1e-10 * max(1.0, abs(wd.lhs))))
-            if dim == 1 and (alpha >= 1.0 / (dim + 2) - 1e-12 or alpha < 0.0):
-                reports.append(check_entropy_stability(u, alpha))
-    return reports
+    return [r for seed in seeds
+            for r in body_checks(gb.random_body(seed, dim, bandlimit, amplitude), alphas)]

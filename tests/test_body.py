@@ -238,13 +238,14 @@ def test_random_body_rejects_bad_amplitude():
 
 
 def test_width_radii_paper_bounds_on_random_bodies():
-    # w+/2 <= rho+ <= w+ sqrt(2(n+1)/(n+2));  w-/(2 sqrt(n+1)) <= rho- <= w-/2
-    for dim in (1, 2):
-        n = dim
+    # in R^d, d = n+1: w+/2 <= rho+ <= w+ sqrt(d/(2(d+1))) (Jung);
+    # steinhagen w- <= rho- <= w-/2, steinhagen = 1/3 (d=2), 1/(2 sqrt 3) (d=3)
+    for dim, steinhagen in ((1, 1 / 3), (2, 1 / (2 * np.sqrt(3)))):
+        d = dim + 1
         for seed in range(8):
             u = gb.random_body(seed, dim, 8, 0.3)
             wr = gb.width_radii(u)
             assert 0.5 * wr.w_plus <= wr.rho_plus + 1e-10
-            assert wr.rho_plus <= wr.w_plus * np.sqrt(2 * (n + 1) / (n + 2)) + 1e-10
+            assert wr.rho_plus <= wr.w_plus * np.sqrt(d / (2 * (d + 1))) + 1e-10
             assert wr.rho_minus <= 0.5 * wr.w_minus + 1e-10
-            assert wr.rho_minus >= wr.w_minus / (2 * np.sqrt(n + 1)) - 1e-10
+            assert wr.rho_minus >= wr.w_minus * steinhagen - 1e-10

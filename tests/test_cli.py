@@ -197,17 +197,24 @@ class TestVerify:
         assert doc["checks"] == 23
         assert doc["failures"] == 0
 
+    def test_ball_suite_rows_match_one_fuzz_body(self, tmp_path):
+        assert main(["verify", "--suite", "ball", "--dim", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "checks.json").read_text())
+        assert [r["name"] for r in doc["reports"]] == \
+               [r.name for r in gi.fuzz_suite(1, [0])]
+
     def test_fuzz_suite(self, tmp_path):
         rc = main(["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit",
                    "12", "--seed-count", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "checks.json").read_text())
-        assert doc["checks"] == 2 * 28
+        assert doc["checks"] == 2 * 23
         names = {r["name"] for r in doc["reports"]}
         # the alpha = -1 rows exercise the reversed entropy bound
         assert "entropy-vs-curvature-image-bound-reversed" in names
         lines = (tmp_path / "checks.csv").read_text().splitlines()
-        assert len(lines) == 2 + 2 * 28
+        assert len(lines) == 2 + 2 * 23
 
     def test_explicit_alpha_list(self, tmp_path):
         rc = main(["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit",
@@ -215,7 +222,7 @@ class TestVerify:
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "checks.json").read_text())
-        assert doc["checks"] == 13
+        assert doc["checks"] == 12
 
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         bad = gi.CheckReport(name="forced", inputs={}, lhs=1.0, rhs=0.0,
@@ -334,6 +341,18 @@ class TestConfigFile:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.cfg")]) == 3
+
+    @pytest.mark.parametrize("sub, line", [
+        ("verify", "suite = bogus"),
+        ("make-body", "shape = triangle"),
+        ("flow", "kind = sideways\ninput = body.json\nalpha = 1"),
+    ], ids=["suite", "shape", "kind"])
+    def test_file_values_obey_flag_choices(self, tmp_path, sub, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestEntryPoint:

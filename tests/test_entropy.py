@@ -149,28 +149,6 @@ def test_zalpha_alpha_one_branch_continuous():
     assert_allclose(ge.zalpha(u, 1.0), ge.zalpha(u, 1.0 + 1e-7), rtol=1e-6)
 
 
-@pytest.mark.parametrize("alpha", [-1.0, 0.25, 0.5, 2.0, 5.0])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_weighted_dual_identity(dim, alpha):
-    if dim == 2 and alpha == 0.25:
-        alpha = 0.3  # keep a nondegenerate D term for n=2 too
-    u = gb.random_body(15, dim, 8, 0.25)
-    z = 0.1 * np.ones(dim + 1)
-    rep = ge.weighted_dual_identities(u, z, alpha)
-    assert abs(rep.lhs - rep.rhs) <= 1e-10 * abs(rep.lhs)
-    assert rep.symmetric_difference_term >= 0.0
-
-
-def test_weighted_dual_identity_ball_cases():
-    u = gb.ball(sg.build_grid(1, 8))
-    rep = ge.weighted_dual_identities(u, np.zeros(2), 0.5)
-    assert_allclose([rep.lhs, rep.rhs], 2.0 * np.pi, rtol=1e-13)
-    assert abs(rep.symmetric_difference_term) < 1e-13
-    rep = ge.weighted_dual_identities(u, np.array([0.3, 0.0]), 0.5)
-    assert abs(rep.lhs - rep.rhs) <= 1e-10 * abs(rep.lhs)
-    assert rep.symmetric_difference_term > 1e-3
-
-
 def test_concavity_probe():
     u = gb.random_body(16, 1, 8, 0.3)
     z = np.array([0.02, 0.01])
