@@ -157,10 +157,11 @@ class SantaloPoint(NamedTuple):
     dual_volume: float
 
 
-def santalo_point(u: SupportFunction) -> SantaloPoint:
+def santalo_point(u: SupportFunction, ep: EntropyResult | None = None) -> SantaloPoint:
     """Minimizer of the polar-dual volume, located as the entropy point at
-    alpha = 1/(n+2); returns the minimal dual volume."""
-    res = entropy_point(u, 1.0 / (u.dim + 2))
+    alpha = 1/(n+2) (ep, if that point is already solved); returns the
+    minimal dual volume."""
+    res = entropy_point(u, 1.0 / (u.dim + 2)) if ep is None else ep
     return SantaloPoint(point=res.point, dual_volume=dual_volume(u, res.point))
 
 

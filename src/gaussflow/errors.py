@@ -75,7 +75,8 @@ class RadiiNonConvergence(GaussFlowError):
 
 
 class StepFailure(GaussFlowError):
-    """A flow step kept losing convexity/positivity after max halvings."""
+    """A flow step kept losing convexity/positivity after max halvings,
+    or its dt no longer advances the clock."""
 
     def __init__(self, node: int | None, dt: float, rejections: int):
         self.node = node

@@ -224,10 +224,7 @@ def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
     nt = grid.bandlimit + 1
     nphi = 2 * grid.bandlimit + 2
     M = nt * nphi
-    faces = []
-    for k in range(nphi):
-        k1 = (k + 1) % nphi
-        faces.append((M, k, k1))
+    faces = [(M, k, (k + 1) % nphi) for k in range(nphi)]
     for j in range(nt - 1):
         for k in range(nphi):
             k1 = (k + 1) % nphi
@@ -236,9 +233,7 @@ def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
             faces.append((a, b, c))
             faces.append((a, c, d))
     base = (nt - 1) * nphi
-    for k in range(nphi):
-        k1 = (k + 1) % nphi
-        faces.append((M + 1, base + k1, base + k))
+    faces += [(M + 1, base + (k + 1) % nphi, base + k) for k in range(nphi)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"# gaussflow {__version__} config={digest}\n")
         for v in np.vstack([X, poles]):

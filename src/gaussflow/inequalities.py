@@ -93,40 +93,44 @@ def _equality(name, inputs, lhs, rhs, tolerance) -> CheckReport:
                        float(tolerance), bool(slack >= -tolerance))
 
 
-def check_blaschke_santalo(u: SupportFunction) -> CheckReport:
+def _entropy_point(u: SupportFunction, alpha: float, ep) -> ge.EntropyResult:
+    return ge.entropy_point(u, alpha) if ep is None else ep
+
+
+def check_blaschke_santalo(u: SupportFunction, ep=None) -> CheckReport:
     """Volume times polar-dual volume at the Santalo point stays below
-    the ball's value; equality exactly for ellipsoids."""
-    sp = ge.santalo_point(u)
+    the ball's value; equality exactly for ellipsoids. ep, if given, is
+    the entropy point at alpha = 1/(n+2) (the Santalo point)."""
+    sp = ge.santalo_point(u, ep=ep)
     lhs = gb.volume(u) * sp.dual_volume
     rhs = sg.ball_volume(u.dim) ** 2
     return _one_sided("volume-dual-volume-product", _digest(u, z=[f"{c:.6g}" for c in sp.point]),
                       lhs, rhs, 1e-8 * rhs)
 
 
-def _require_normalized(u: SupportFunction) -> float:
+def _require_normalized(u: SupportFunction) -> None:
     target = sg.ball_volume(u.dim)
-    vol = gb.volume(u)
-    if abs(vol - target) > 1e-10 * target:
+    if abs(gb.volume(u) - target) > 1e-10 * target:
         raise ValueError("body volume must be pre-normalized to the unit ball's")
-    return vol
 
 
-def check_entropy_nonneg(u: SupportFunction, alpha: float) -> CheckReport:
+def check_entropy_nonneg(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
     """At normalized volume the entropy is minimized by the ball, where
-    it vanishes; so the extremal entropy must be >= 0."""
+    it vanishes; so the extremal entropy must be >= 0. Here and below,
+    ep is the body's entropy point at alpha if already solved."""
     _require_normalized(u)
-    ent = ge.entropy_point(u, alpha).value
+    ent = _entropy_point(u, alpha, ep).value
     return _one_sided("entropy-nonnegative", _digest(u, alpha=alpha), 0.0, ent, 1e-10)
 
 
-def check_z_vs_entropy(u: SupportFunction, alpha: float) -> CheckReport:
+def check_z_vs_entropy(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
     """The curvature power mean dominates e^entropy at normalized
     volume, for exponents alpha >= 1/(n+2) (below that the bound is not
     available and can genuinely reverse)."""
     _require_normalized(u)
     if alpha < 1.0 / (u.dim + 2) - 1e-12:
         raise ValueError("curvature power mean bound needs alpha >= 1/(n+2)")
-    lhs = math.exp(ge.entropy_point(u, alpha).value)
+    lhs = math.exp(_entropy_point(u, alpha, ep).value)
     rhs = ge.zalpha(u, alpha)
     return _one_sided("curvature-mean-vs-entropy", _digest(u, alpha=alpha),
                       lhs, rhs, 1e-10 * max(abs(lhs), abs(rhs)))
@@ -176,7 +180,7 @@ class CurvatureImage(NamedTuple):
     body: SupportFunction | None
 
 
-def curvature_image(u: SupportFunction, alpha: float) -> CurvatureImage:
+def curvature_image(u: SupportFunction, alpha: float, ep=None) -> CurvatureImage:
     """Curvature-image density about the entropy point.
 
     density = (|Omega|/|B(1)|) e^(-((alpha-1)/alpha) entropy) u_e^(-1/alpha)
@@ -186,7 +190,7 @@ def curvature_image(u: SupportFunction, alpha: float) -> CurvatureImage:
     curvature density is recovered by dividing Fourier modes by 1 - k^2
     (degree-1 modes verified tiny, then zeroed)."""
     grid = u.grid
-    ep = ge.entropy_point(u, alpha)
+    ep = _entropy_point(u, alpha, ep)
     u_e = u.values - grid.nodes @ ep.point
     vol = gb.volume(u)
     pref = (vol / sg.ball_volume(u.dim)) * math.exp(-((alpha - 1.0) / alpha) * ep.value)
@@ -212,7 +216,7 @@ def curvature_image(u: SupportFunction, alpha: float) -> CurvatureImage:
     return CurvatureImage(density=density, mixed_volume=float(mixed), body=rec)
 
 
-def check_entropy_stability(u: SupportFunction, alpha: float) -> CheckReport:
+def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
     """Entropy lower bound through the curvature image (n=1 only, where
     the image body is reconstructible): for alpha >= 1/3 the extremal
     entropy dominates
@@ -222,12 +226,13 @@ def check_entropy_stability(u: SupportFunction, alpha: float) -> CheckReport:
         raise UnsupportedDimension("entropy stability check needs n=1")
     if not (alpha >= 1.0 / (u.dim + 2) - 1e-12 or alpha < 0.0):
         raise ValueError("entropy stability bound needs alpha >= 1/(n+2) or alpha < 0")
-    ci = curvature_image(u, alpha)
+    ep = _entropy_point(u, alpha, ep)
+    ci = curvature_image(u, alpha, ep=ep)
     vol = gb.volume(u)
     n = u.dim
     bound = (math.log(vol / sg.ball_volume(n)) / (n + 1)
              + n / (n + 1) * math.log(vol / gb.volume(ci.body)))
-    ent = ge.entropy_point(u, alpha).value
+    ent = ep.value
     inputs = _digest(u, alpha=alpha)
     if alpha > 0:
         return _one_sided("entropy-vs-curvature-image-bound", inputs, bound, ent, 1e-8)
@@ -298,16 +303,20 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     affine isoperimetric inequality; per exponent: entropy
     nonnegativity, the curvature power mean bound (alpha >= 1/(n+2)
     only), and for n=1 the curvature-image entropy bound (alpha >= 1/3
-    or alpha < 0)."""
-    reports = [check_blaschke_santalo(u)]
+    or alpha < 0). Each entropy point is solved once and shared by the
+    checks of its exponent; the Santalo check reuses alpha = 1/(n+2) if
+    alphas has it."""
+    eps = {alpha: ge.entropy_point(u, alpha) for alpha in alphas}
+    reports = [check_blaschke_santalo(u, ep=eps.get(1.0 / (u.dim + 2)))]
     reports.extend(check_width_bounds(u))
     reports.append(check_affine_isoperimetric(u))
     for alpha in alphas:
-        reports.append(check_entropy_nonneg(u, alpha))
+        ep = eps[alpha]
+        reports.append(check_entropy_nonneg(u, alpha, ep=ep))
         if alpha >= 1.0 / (u.dim + 2) - 1e-12:
-            reports.append(check_z_vs_entropy(u, alpha))
+            reports.append(check_z_vs_entropy(u, alpha, ep=ep))
         if u.dim == 1 and (alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0):
-            reports.append(check_entropy_stability(u, alpha))
+            reports.append(check_entropy_stability(u, alpha, ep=ep))
     return reports
 
 

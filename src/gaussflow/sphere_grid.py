@@ -100,8 +100,6 @@ class SphereGrid:
         Index of the node opposite to each node.
     thetas, phis : ndarray
         Angular coordinates of the nodes (phis is None on the circle).
-    h_min : float
-        Smallest spacing between neighbouring nodes (step-size control).
 
     The sphere nodes are stored ring by ring (node = ring * (2L+2) +
     longitude index), so a field reshapes to one row per ring. Its
@@ -139,7 +137,6 @@ class SphereGrid:
         self.weights = np.full(N, 2.0 * np.pi / N)
         self.antipode = (np.arange(N) + N // 2) % N
         self.tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
-        self.h_min = 2.0 * np.pi / N
         # coefficient layout: [const, cos 1..L, sin 1..L], orthonormal
         self.coeff_count = 2 * L + 1
         self._degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
@@ -171,9 +168,6 @@ class SphereGrid:
         self.tangent2 = np.column_stack([-sp, cp, np.zeros_like(sp)])  # e_phi
         self._inv_sin = 1.0 / st
         self._cot = ct / st
-
-        dtheta = np.diff(theta1)
-        self.h_min = float(min(dtheta.min(), np.sin(theta1).min() * 2.0 * np.pi / nphi))
 
         # coefficient b = l^2 + l + m is entry [|m|, l, m < 0] of the
         # per-order pairs (c_{l,|m|}, c_{l,-|m|})
@@ -275,18 +269,8 @@ def _build_grid_cached(dim: int, bandlimit: int) -> SphereGrid:
 
 
 def build_grid(dim: int, bandlimit: int) -> SphereGrid:
-    """Return the (cached) grid for S^dim with the given bandlimit.
-
-    Parameters
-    ----------
-    dim : int
-        1 or 2.
-    bandlimit : int
-        Maximum retained frequency/degree; must be >= 4.
-    """
-    _check_dim(dim)
-    if bandlimit < 4:
-        raise ValueError(f"bandlimit must be >= 4, got {bandlimit}")
+    """Return the (cached) grid for S^dim, dim 1 or 2, with bandlimit
+    (maximum retained frequency/degree) L >= 4."""
     return _build_grid_cached(dim, int(bandlimit))
 
 

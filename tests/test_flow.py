@@ -8,7 +8,7 @@ from gaussflow import body as gb
 from gaussflow import entropy as ge
 from gaussflow import flow as gf
 from gaussflow import sphere_grid as sg
-from gaussflow.errors import InsufficientContraction, StepFailure
+from gaussflow.errors import InsufficientContraction, NonConvergence, StepFailure
 
 
 def circle(L=16):
@@ -78,6 +78,13 @@ class TestStep:
         assert st.rejected_steps == 0
         assert st.cumulative_rescale <= 1e-12
 
+    def test_step_that_cannot_advance_the_clock_fails(self):
+        st = gf.FlowState(kind="unnormalized", alpha=1.0, time=1e18,
+                          u=gb.ball(circle(), 1.0))
+        with pytest.raises(StepFailure) as exc:
+            gf.step(st, 1e9)
+        assert exc.value.rejections == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_failure_after_twelve_halvings(self, monkeypatch):
         monkeypatch.setattr(gf, "_stable_dt", lambda state: 1e9)
@@ -85,6 +92,34 @@ class TestStep:
         with pytest.raises(StepFailure) as exc:
             gf.step(st, 1e6)
         assert exc.value.rejections == 12
+
+
+class TestStabilityCap:
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 16)])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_cap_scales_with_spectral_radius(self, dim, L, alpha):
+        # unit ball: K = lam_min = 1, so D_max = alpha
+        st = make_state(gb.ball(sg.build_grid(dim, L), 1.0), "unnormalized", alpha)
+        assert gf._stable_dt(st) == pytest.approx(1.5 / (L * (L + 1) * alpha), rel=1e-10)
+
+    @staticmethod
+    def _top_mode_growth(steps=300):
+        g = circle(16)
+        u = gb.SupportFunction(g, 1.0 + 1e-6 * np.cos(16 * g.thetas))
+        st = make_state(u, "normalized", 1.0)
+        a0 = abs(sg.analyze(g, st.u.values)[16])
+        for _ in range(steps):
+            st = gf.step(st, 1e9)
+        return abs(sg.analyze(g, st.u.values)[16]) / a0
+
+    def test_top_mode_decays_at_cap(self):
+        assert self._top_mode_growth() <= 1.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_top_mode_grows_beyond_linear_limit(self, monkeypatch):
+        # 3.2 exceeds the RK4 limit 2.785 L/(L-1) = 2.97 at L = 16
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 3.2)
+        assert self._top_mode_growth() > 10.0
 
 
 class TestShrinkingCircleOracle:
@@ -126,6 +161,22 @@ class TestExtinction:
         br = gf.extinction_bracket(gb.ball(sphere(8), 1.0), 1.0, u_stop=0.4)
         assert br.lower >= 1.0 / 3.0 - 1e-4
         assert br.upper <= 1.0 / 3.0 + 1e-4
+
+    @pytest.mark.parametrize("u_stop", [0.0, -0.1])
+    def test_nonpositive_u_stop_rejected(self, u_stop):
+        with pytest.raises(ValueError, match="u_stop"):
+            gf.extinction_bracket(gb.ball(circle(16), 1.0), 1.0, u_stop=u_stop)
+
+    def test_vanishing_steps_end_in_step_failure(self):
+        # near extinction dt ~ u^2 stops advancing the clock long before
+        # min u reaches 1e-300
+        with pytest.raises(StepFailure):
+            gf.extinction_bracket(gb.ball(sphere(8), 1.0), 1.0, u_stop=1e-300)
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(gf, "MAX_BRACKET_STEPS", 5)
+        with pytest.raises(NonConvergence):
+            gf.extinction_bracket(gb.ball(circle(16), 1.0), 1.0, u_stop=0.3)
 
 
 class TestNormalizedEllipse:
