@@ -321,12 +321,8 @@ def random_body(seed: int, dim: int, bandlimit: int, amplitude: float,
     for _ in range(51):
         coeffs = np.zeros(grid.coeff_count)
         for d in degrees:
-            if dim == 1:
-                coeffs[d] = rng.standard_normal() * amp / d**3
-                coeffs[bandlimit + d] = rng.standard_normal() * amp / d**3
-            else:
-                lo = d * d
-                coeffs[lo: lo + 2 * d + 1] = rng.standard_normal(2 * d + 1) * amp / d**3
+            of_degree = grid.degrees == d
+            coeffs[of_degree] = rng.standard_normal(of_degree.sum()) * amp / d**3
         values = 1.0 + sg.synthesize(grid, coeffs)
         try:
             u = SupportFunction(grid, values, np.zeros(dim + 1))

@@ -317,14 +317,12 @@ class RunResult:
 
 def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         sample_every: float | None = None, *, stop_residual: float | None = "default",
-        u_floor: float = 0.05, recenter: bool = True,
-        max_steps: int | None = None) -> RunResult:
+        u_floor: float = 0.05, max_steps: int | None = None) -> RunResult:
     """Run a flow from t = 0 to t_end with periodic diagnostics.
 
     Normalized runs require pre-normalized volume; their basepoint is
-    recentered once, at t = 0, to the entropy point (disable with
-    recenter=False). The run stops early when the soliton residual drops
-    below stop_residual (default 1e-8 for n=1, 1e-6 for n=2, normalized
+    recentered once, at t = 0, to the entropy point. The run stops early
+    when the soliton residual drops below stop_residual (default 1e-8 for n=1, 1e-6 for n=2, normalized
     kind only; pass None to disable) or, for unnormalized runs, when
     min u reaches u_floor. On StepFailure the partial trajectory is
     attached to the exception as exc.partial.
@@ -340,8 +338,7 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         target = sg.ball_volume(u.dim)
         if abs(gb.volume(u) - target) > 1e-8 * target:
             raise ValueError("normalized runs need volume pre-normalized to the unit ball's")
-        if recenter:
-            u = gb.support_about(u, ge.entropy_point(u, alpha).point)
+        u = gb.support_about(u, ge.entropy_point(u, alpha).point)
     state = FlowState(kind=kind, alpha=alpha, time=0.0, u=u)
     records = [diagnostics(state)]
     samples = [(0.0, state.u)]

@@ -202,16 +202,13 @@ def curvature_image(u: SupportFunction, alpha: float, ep=None) -> CurvatureImage
     rec = None
     if u.dim == 1:
         c = sg.analyze(grid, density)
-        L = grid.bandlimit
-        bad = max(abs(c[1]), abs(c[L + 1]))
+        k = grid.degrees
+        bad = np.abs(c[k == 1]).max()
         if bad > 1e-9:
             raise CompatibilityViolation(float(bad))
         v = c.copy()
-        v[1] = 0.0
-        v[L + 1] = 0.0
-        k = np.arange(2, L + 1)
-        v[k] /= 1.0 - k**2
-        v[L + k] /= 1.0 - k**2
+        v[k == 1] = 0.0
+        v[k >= 2] /= 1.0 - k[k >= 2] ** 2
         rec = SupportFunction(grid, sg.synthesize(grid, v))
     return CurvatureImage(density=density, mixed_volume=float(mixed), body=rec)
 

@@ -100,6 +100,10 @@ class SphereGrid:
         Index of the node opposite to each node.
     thetas, phis : ndarray
         Angular coordinates of the nodes (phis is None on the circle).
+    degrees : ndarray of int, shape (coeff_count,)
+        Frequency / harmonic degree of each spectral coefficient: on the
+        circle [0, 1..L, 1..L] for [const, cos k, sin k]; on the sphere
+        degree l for the 2l+1 coefficients l^2 .. l^2+2l.
 
     The sphere nodes are stored ring by ring (node = ring * (2L+2) +
     longitude index), so a field reshapes to one row per ring. Its
@@ -139,7 +143,7 @@ class SphereGrid:
         self.tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
         # coefficient layout: [const, cos 1..L, sin 1..L], orthonormal
         self.coeff_count = 2 * L + 1
-        self._degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
+        self.degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
 
     def _init_sphere(self, L: int) -> None:
         nt, nphi = L + 1, 2 * L + 2
@@ -174,7 +178,7 @@ class SphereGrid:
         self.coeff_count = (L + 1) ** 2
         ell = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
         m = np.arange(self.coeff_count) - ell * (ell + 1)
-        self._degrees = ell
+        self.degrees = ell
         self._pair_index = (np.abs(m) * (L + 1) + ell) * 2 + (m < 0)
 
         # Fourier stage: row 2m + 0/1 of _ring_idft[p] is the p-th

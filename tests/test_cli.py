@@ -307,7 +307,7 @@ class TestConfigFile:
             f"input = {body}\n"
             "kind = normalized\n"
             "alpha = 1\n"
-            "t-end = 0.5\n"
+            "t-end = 0.5        # flags still override this\n"
             "sample-every = 0.005\n"
             "stop-residual = none\n"
         )
@@ -333,6 +333,31 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("walrus = 7\n")
         assert main(["verify", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("sub, line", [
+        ("verify", "seed = 3"),
+        ("make-body", "workers = 4"),
+        ("verify", "config = other.cfg"),
+    ], ids=["seed-for-verify", "workers-for-make-body", "config"])
+    def test_keys_must_be_the_subcommands_flags(self, tmp_path, sub, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, flags", [
+        ("symmetric = true", ["--symmetric"]),
+        ("symmetric = false", []),
+    ], ids=["true", "false"])
+    def test_boolean_key_matches_flag(self, tmp_path, line, flags):
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(line + "\n")
+        args = ["make-body", "--dim", "1", "--bandlimit", "12", "--shape",
+                "random", "--seed", "7"]
+        assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "a.json")]) == 0
+        assert main(args + flags + ["--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -267,9 +267,6 @@ class TestRecentering:
         zg = ge.entropy_point(u0, 1.0).point
         res = gf.run(u0, "normalized", 1.0, 0.005, stop_residual=None)
         assert_allclose(res.samples[0][1].basepoint, u0.basepoint + zg, atol=1e-12)
-        res2 = gf.run(u0, "normalized", 1.0, 0.005, stop_residual=None,
-                      recenter=False)
-        assert_allclose(res2.samples[0][1].basepoint, u0.basepoint, atol=1e-15)
 
 
 class TestRescaledLimit:
