@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linprog
 
 from . import sphere_grid as sg
 from .errors import (
@@ -193,8 +192,8 @@ class WidthRadii(NamedTuple):
 
     w_plus/w_minus: max/min over nodes of the width u(x) + u(-x), with
     the witnessing directions. rho_plus/rho_minus: circumradius and
-    inradius as min-max/max-min of u(x) - <z, x> over grid nodes, with
-    the witnessing centers (relative to the basepoint).
+    inradius as min-max/max-min of u(x) - <z, x> over grid nodes, solved
+    exactly by `_radius_lp`, with the centers (relative to the basepoint).
     """
 
     w_plus: float
@@ -207,66 +206,71 @@ class WidthRadii(NamedTuple):
     center_in: NDArray
 
 
-def _radius_lp(nodes: NDArray, u: NDArray, outer: bool) -> tuple[float, NDArray]:
-    """Solve the finite min-max (outer) or max-min (inner) radius problem
-    over grid nodes: an LP in (radius, center), polished by an active-set
-    least-squares solve to ~1e-12."""
-    m, d = nodes.shape
-    if outer:
-        # minimize s subject to u_i - <z, x_i> <= s
-        c = np.concatenate([[1.0], np.zeros(d)])
-        A_ub = np.column_stack([-np.ones(m), -nodes])
-        b_ub = -u
-    else:
-        # maximize t subject to t + <z, x_i> <= u_i
-        c = np.concatenate([[-1.0], np.zeros(d)])
-        A_ub = np.column_stack([np.ones(m), nodes])
-        b_ub = u
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * (d + 1), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise RadiiNonConvergence(np.nan, np.inf)
-    r_lp, z_lp = res.x[0], res.x[1:]
+# Pivots allowed per exchange solve; fuzz bodies need at most 28 at (2, 32).
+_MAX_PIVOTS = 200
+# Regular simplices about the origin in R^2 and R^3 (unnormalized).
+_SIMPLEX = {2: np.array([[2.0, 0.0], [-1.0, 3**0.5], [-1.0, -(3**0.5)]]),
+            3: np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])}
 
-    def certified(z: NDArray) -> float:
-        vals = u - nodes @ z
-        return float(vals.max() if outer else vals.min())
 
-    best_z, best_r = z_lp, certified(z_lp)
-    # polish: equality-solve on the near-active constraints
-    vals = u - nodes @ z_lp
-    act = np.abs(vals - r_lp) <= 1e-6 * max(1.0, abs(r_lp))
-    if act.sum() >= 1:
-        Aeq = np.column_stack([np.ones(act.sum()), nodes[act]])
-        sol, *_ = np.linalg.lstsq(Aeq, u[act], rcond=None)
-        z_p = sol[1:]
-        r_p = certified(z_p)
-        if (outer and r_p < best_r) or (not outer and r_p > best_r):
-            best_z, best_r = z_p, r_p
-    gap = abs(best_r - r_lp)
-    if gap > 1e-8 * max(1.0, abs(best_r)):
-        raise RadiiNonConvergence(best_r, gap)
-    return best_r, best_z
+def _start_basis(nodes: NDArray) -> NDArray:
+    """The n+2 nodes nearest the vertices of a regular simplex; their hull
+    holds the origin, so they start the dual feasibly."""
+    return np.argmax(nodes @ _SIMPLEX[nodes.shape[1]].T, axis=0)
+
+
+def _radius_lp(nodes: NDArray, u: NDArray) -> tuple[float, NDArray]:
+    """Outer radius min over z of max_i u_i - <z, x_i>, and its center z,
+    by Stiefel's exchange (Numer. Math. 2, 1960): a revised simplex on the
+    dual max sum lam_i u_i, sum lam_i = 1, sum lam_i x_i = 0, lam >= 0, over
+    n+2 basis nodes. A pivot brings in the node most above the basis level
+    and drops the ratio test's node, the lowest index on ties (Bland).
+    Raises RadiiNonConvergence past `_MAX_PIVOTS` pivots, or if max_i u_i -
+    <z, x_i> at the center misses the dual objective by more than 1e-8."""
+    d = nodes.shape[1]
+    basis = _start_basis(nodes)
+    tol = 1e-14 * max(1.0, float(np.abs(u).max()))
+    M = np.ones((d + 1, d + 1))
+    for pivots in range(_MAX_PIVOTS + 1):
+        M[1:] = nodes[basis].T          # columns (1, x_i), i in the basis
+        Minv = np.linalg.inv(M)
+        lam = Minv[:, 0]                # dual weights: M lam = (1, 0)
+        if pivots == 0 and lam.min() < 0.0:
+            raise RadiiNonConvergence(np.nan, np.inf)  # start not dual-feasible
+        y = Minv.T @ u[basis]           # level y[0] and center y[1:]
+        excess = u - nodes @ y[1:] - y[0]
+        j = int(np.argmax(excess))
+        if excess[j] <= tol:
+            rho = float((u - nodes @ y[1:]).max())
+            gap = abs(rho - float(lam @ u[basis]))
+            if gap > 1e-8 * max(1.0, abs(rho)):
+                raise RadiiNonConvergence(rho, gap)
+            return rho, y[1:]
+        if pivots == _MAX_PIVOTS:
+            raise RadiiNonConvergence(float(y[0]), float(excess[j]))
+        delta = Minv @ np.concatenate(([1.0], nodes[j]))
+        ratio = np.where(delta > 1e-14, np.maximum(lam, 0.0) / np.maximum(delta, 1e-14), np.inf)
+        ties = np.flatnonzero(ratio <= ratio.min() + 1e-15)
+        basis[ties[np.argmin(basis[ties])]] = j
 
 
 def width_radii(u: SupportFunction) -> WidthRadii:
-    """Extremal widths w+/- over node directions and inner/outer radii
-    rho-/rho+ solved as finite min-max problems over the grid (1e-10
-    tolerance)."""
+    """Extremal widths w+/- over node directions and outer/inner radii
+    rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
+    -(outer radius of -u), about the negated center."""
     w = u.values + u.values[u.grid.antipode]
     i_max, i_min = int(np.argmax(w)), int(np.argmin(w))
-    rho_plus, center_out = _radius_lp(u.grid.nodes, u.values, outer=True)
-    rho_minus, center_in = _radius_lp(u.grid.nodes, u.values, outer=False)
+    rho_plus, center_out = _radius_lp(u.grid.nodes, u.values)
+    neg_rho, neg_center = _radius_lp(u.grid.nodes, -u.values)
     return WidthRadii(
         w_plus=float(w[i_max]),
         w_minus=float(w[i_min]),
         rho_plus=rho_plus,
-        rho_minus=rho_minus,
+        rho_minus=-neg_rho,
         dir_w_plus=u.grid.nodes[i_max].copy(),
         dir_w_minus=u.grid.nodes[i_min].copy(),
         center_out=center_out,
-        center_in=center_in,
+        center_in=-neg_center,
     )
 
 

@@ -22,7 +22,6 @@ Exit codes: 0 success, 1 check failure, 2 solver failure, 3 usage.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import hashlib
 import math
@@ -115,10 +114,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _config_args(path: str) -> list[str]:
+def _config_args(parser: argparse.ArgumentParser, subcommand: str,
+                 path: str) -> list[str]:
     """A config file's key = value lines as --key=value arguments.
 
-    `_` in a key becomes `-`; `#` starts a comment anywhere on a line."""
+    `_` in a key becomes `-`, `#` starts a comment anywhere on a line, and
+    each line is parsed alone first so an error names its line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -134,7 +135,12 @@ def _config_args(path: str) -> list[str]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key == "config":
             raise UsageError(f"{path}:{lineno}: a config file cannot name another")
-        args.append(f"--{key}={value.strip()}")
+        arg = f"--{key}={value.strip()}"
+        try:
+            parser.parse_args([subcommand, arg])
+        except UsageError as e:
+            raise UsageError(f"{path}:{lineno}: {e}") from e
+        args.append(arg)
     return args
 
 
@@ -431,18 +437,7 @@ _DISPATCH = {
 }
 
 
-def _keep_freed_heap() -> None:
-    """Raise glibc's heap trim threshold to 64 MB. HiGHS frees about 1.7 MB
-    after each width/radius LP at n=2, L=32; at the default threshold each
-    solve faulted it back in: 4400 page faults, 16 ms per flow job."""
-    try:
-        ctypes.CDLL("libc.so.6").mallopt(-1, 64 << 20)  # -1: M_TRIM_THRESHOLD
-    except (OSError, AttributeError):  # not glibc
-        pass
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -451,7 +446,8 @@ def main(argv=None) -> int:
             parser.error("a subcommand is required")
         if ns.config:
             rest = argv[argv.index(ns.subcommand) + 1:]
-            ns = parser.parse_args([ns.subcommand, *_config_args(ns.config), *rest])
+            file_args = _config_args(parser, ns.subcommand, ns.config)
+            ns = parser.parse_args([ns.subcommand, *file_args, *rest])
         cfg = resolve(ns)
         return _DISPATCH[cfg.subcommand](cfg)
     except SystemExit as e:  # --help

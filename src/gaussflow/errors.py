@@ -66,7 +66,7 @@ class RandomBodyFailure(GaussFlowError):
 
 
 class RadiiNonConvergence(GaussFlowError):
-    """The inner/outer radius optimizer hit its iteration cap."""
+    """A radius exchange solve hit its pivot cap or failed certification."""
 
     def __init__(self, best_value: float, gap: float):
         self.best_value = float(best_value)

@@ -36,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import roots_legendre
 
 __all__ = [
     "SphereGrid",
@@ -147,7 +146,7 @@ class SphereGrid:
 
     def _init_sphere(self, L: int) -> None:
         nt, nphi = L + 1, 2 * L + 2
-        x_gl, w_gl = roots_legendre(nt)
+        x_gl, w_gl = np.polynomial.legendre.leggauss(nt)
         x_gl = 0.5 * (x_gl - x_gl[::-1])  # enforce exact symmetry of roots
         ct1 = x_gl[::-1]                  # cos(theta), theta ascending
         wt1 = 0.5 * (w_gl + w_gl[::-1])[::-1]

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
+from test_inequalities import smoothed_triangle
 
 from gaussflow import body as gb
 from gaussflow import sphere_grid as sg
-from gaussflow.errors import ConvexityLost, GridMismatch, NotInterior, RandomBodyFailure
+from gaussflow.cli import main
+from gaussflow.errors import (
+    ConvexityLost,
+    GridMismatch,
+    NotInterior,
+    RadiiNonConvergence,
+    RandomBodyFailure,
+)
 
 ELL_AXES = (2.0, 0.5)
 
@@ -135,6 +144,74 @@ def test_width_radii_off_center():
     assert_allclose(wr.rho_minus, 1.0, atol=1e-10)
     assert_allclose(wr.center_out, z, atol=1e-9)
     assert_allclose(wr.center_in, z, atol=1e-9)
+
+
+def highs_radii(u):
+    """Outer and inner radius over the grid nodes from HiGHS, each
+    re-evaluated as max/min of u - <z, x> at HiGHS's center."""
+    nodes = u.grid.nodes
+    m, d = nodes.shape
+    radii = []
+    for sign in (1.0, -1.0):
+        # sign 1: min s with u_i - <z, x_i> <= s; sign -1: max t with t <= u_i - <z, x_i>
+        res = linprog(np.r_[sign, np.zeros(d)],
+                      A_ub=-sign * np.column_stack([np.ones(m), nodes]),
+                      b_ub=-sign * u.values, bounds=[(None, None)] * (d + 1),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert res.success
+        vals = u.values - nodes @ res.x[1:]
+        radii.append(vals.max() if sign > 0 else vals.min())
+    return radii
+
+
+def assert_radii_match_highs(u):
+    wr = gb.width_radii(u)
+    rho_plus, rho_minus = highs_radii(u)
+    assert abs(wr.rho_plus - rho_plus) <= 1e-12
+    assert abs(wr.rho_minus - rho_minus) <= 1e-12
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
+def test_exchange_radii_match_highs_on_fuzz_bodies(dim, L, symmetric):
+    for seed in range(10):
+        assert_radii_match_highs(gb.random_body(seed, dim, L, 0.1,
+                                                centrally_symmetric=symmetric))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gb.ball(sg.build_grid(1, 16)),  # every node active
+    lambda: gb.ball(sg.build_grid(2, 8)),
+    ellipse_fine,
+    lambda: gb.ellipse(sg.build_grid(2, 32), (2.0, 1.0, 0.5)),
+    smoothed_triangle,
+], ids=["ball-n1", "ball-n2", "ellipse", "ellipsoid", "smoothed-triangle"])
+def test_exchange_radii_match_highs_on_sharp_bodies(make):
+    assert_radii_match_highs(make())
+
+
+def test_start_basis_is_dual_feasible():
+    # covers every grid the suite builds (n=1 up to L=128, n=2 up to L=32)
+    for dim, bandlimits in ((1, range(4, 257)), (2, range(4, 65))):
+        for L in bandlimits:
+            nodes = sg.SphereGrid(dim, L).nodes
+            basis = gb._start_basis(nodes)
+            assert len(set(basis)) == dim + 2
+            M = np.vstack([np.ones(dim + 2), nodes[basis].T])
+            lam = np.linalg.solve(M, np.eye(dim + 2)[0])
+            assert lam.min() > 0.0, (dim, L)
+
+
+def test_pivot_cap_ends_in_radii_nonconvergence(monkeypatch, tmp_path):
+    monkeypatch.setattr(gb, "_MAX_PIVOTS", 1)
+    with pytest.raises(RadiiNonConvergence):
+        gb.width_radii(gb.random_body(0, 2, 8, 0.1))
+    body = tmp_path / "b.json"
+    assert main(["make-body", "--dim", "2", "--bandlimit", "8", "--shape",
+                 "random", "--out", str(body)]) == 0
+    assert main(["flow", "--input", str(body), "--alpha", "1", "--t-end", "0.01",
+                 "--out-dir", str(tmp_path / "run")]) == 2
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -334,6 +334,14 @@ class TestConfigFile:
         cfg.write_text("walrus = 7\n")
         assert main(["verify", "--config", str(cfg)]) == 3
 
+    def test_key_error_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("dim = 1\nseed = 3\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert f"{cfg}:2: unrecognized arguments: --seed=3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sub, line", [
         ("verify", "seed = 3"),
         ("make-body", "workers = 4"),
@@ -392,6 +400,13 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 3
 
+    def test_runtime_imports_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gaussflow.cli; print(sorted(m for m in "
+             "sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_unknown_flag_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gaussflow.cli", "verify", "--bogus"],
@@ -399,8 +414,8 @@ class TestEntryPoint:
         assert proc.returncode == 3
 
 
-# Page faults of repeated width/radius LPs at n=2, L=32 after the CLI has
-# run once in a fresh interpreter.
+# Page faults of repeated width/radius solves at n=2, L=32 after the CLI
+# has run once in a fresh interpreter, at glibc's default heap trimming.
 _LP_FAULTS_SCRIPT = """
 import resource, sys
 from gaussflow import body as gb, fileio
@@ -419,8 +434,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 5)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's")
 def test_lp_solves_do_not_refault_the_heap(tmp_path):
-    # Two LPs per call free about 3.4 MB between them; returned to the
-    # system each time, they would fault in some 860 pages per call.
+    # Scratch memory that a solve frees, and glibc trims back to the
+    # system, is faulted in again by the next call (3.4 MB per call would
+    # cost some 860 faults). The exchange solves allocate only small
+    # arrays, so repeated calls fault in almost nothing.
     proc = subprocess.run([sys.executable, "-c", _LP_FAULTS_SCRIPT, str(tmp_path / "b.json")],
                           capture_output=True, text=True, check=True)
     assert float(proc.stdout.split()[-1]) < 100

@@ -228,6 +228,41 @@ class TestConvergenceToBall:
         assert np.abs(final.values - 1.0).max() <= 1e-3
 
 
+def linear_rate(dim, alpha, degree):
+    """Decay rate alpha (lambda_l - n) - 1 of the degree-l mode of the
+    normalized flow linearised about the unit ball; lambda_l = l^2 on S^1
+    and l(l+1) on S^2."""
+    lam = degree**2 if dim == 1 else degree * (degree + 1)
+    return alpha * (lam - dim) - 1.0
+
+
+class TestLinearisedRates:
+    """Late-time rate of soliton_res on centrally symmetric fuzz bodies.
+
+    The l=2 rate changes sign at alpha = 1/(n+2): above it the residual
+    falls at that rate, at it the l=2 mode is neutral (ellipsoids are
+    solitons) and the residual falls at the l=4 rate, below it the ball
+    is unstable and the residual grows. The rate is taken between the
+    last two samples. The n=2 threshold case runs at L=12: at L=8 its
+    rate drifts to 3.49 by t=3."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim, L, alpha, degree, t_end, every, tol", [
+        (1, 16, 1.0, 2, 4.0, 0.5, 2e-3),
+        (1, 16, 1 / 3, 4, 3.0, 0.25, 4e-3),
+        (1, 16, 0.3, 2, 4.0, 0.5, 2e-3),
+        (2, 8, 1.0, 2, 4.0, 0.5, 3e-3),
+        (2, 12, 0.25, 4, 3.0, 0.25, 3.5e-3),
+    ], ids=["n1-above", "n1-at", "n1-below", "n2-above", "n2-at"])
+    def test_late_rate_matches_linearisation(self, seed, dim, L, alpha, degree,
+                                             t_end, every, tol):
+        u0 = gb.random_body(seed, dim, L, 0.1, centrally_symmetric=True)
+        res = gf.run(u0, "normalized", alpha, t_end, sample_every=every,
+                     stop_residual=None)
+        (t0, r0), (t1, r1) = [(r.time, r.soliton_res) for r in res.records[-2:]]
+        assert abs(np.log(r0 / r1) / (t1 - t0) - linear_rate(dim, alpha, degree)) <= tol
+
+
 class TestStops:
     def test_residual_stop_at_start(self):
         res = gf.run(gb.ball(circle(), 1.0), "normalized", 1.0, 5.0)
