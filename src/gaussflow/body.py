@@ -9,11 +9,13 @@ the surface-area measure density and K = 1/f the Gauss curvature.
 
 Uniform convexity (lambda_min(A) > 0 at every node) is enforced eagerly:
 constructing a SupportFunction computes the curvature data once, caches
-it, and raises ConvexityLost if A is not positive definite.
+it, and raises ConvexityLost if A is not positive definite. `scale`
+dilates a body by scaling that cached data, without a new build.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,6 +34,8 @@ from .errors import (
 __all__ = [
     "SupportFunction",
     "BodyGeometry",
+    "curvature_tensor",
+    "curvature_invariants",
     "support_about",
     "curvature_data",
     "volume",
@@ -57,7 +61,9 @@ class BodyGeometry:
     A is the symmetric n x n tensor hess(u) + u*I, f = det(A) the
     surface-area measure density, K = 1/f the Gauss curvature, lam_min
     the smallest eigenvalue of A. The tangential gradient of u is kept
-    for boundary-point reconstruction.
+    for boundary-point reconstruction, and the spectrum of u (see
+    `sphere_grid.FrameDerivatives`) so that a flow stage u + h k can check
+    its resolution without a transform of its own.
     """
 
     A: NDArray
@@ -65,13 +71,21 @@ class BodyGeometry:
     K: NDArray
     lam_min: NDArray
     gradient: NDArray
+    spectrum: NDArray
 
 
-def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
-    hess, grad = sg.frame_hessian(grid, values)
-    n = grid.dim
-    A = hess + values[:, None, None] * np.eye(n)
-    if n == 1:
+_IDENTITY = {1: np.eye(1), 2: np.eye(2)}
+
+
+def curvature_tensor(hessian: NDArray, values: NDArray) -> NDArray:
+    """A = hess(u) + u*I per node, from a frame Hessian and the values."""
+    return hessian + values[:, None, None] * _IDENTITY[hessian.shape[1]]
+
+
+def curvature_invariants(A: NDArray) -> tuple[NDArray, NDArray]:
+    """det A and lambda_min(A) per node; raises ConvexityLost at the node
+    of the smallest lambda_min unless every one is positive."""
+    if A.shape[1] == 1:
         f = A[:, 0, 0].copy()
         lam = f.copy()
     else:
@@ -81,7 +95,15 @@ def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
     i = int(np.argmin(lam))
     if lam[i] <= 0.0:
         raise ConvexityLost(i, lam[i])
-    return BodyGeometry(A=A, f=f, K=1.0 / f, lam_min=lam, gradient=grad)
+    return f, lam
+
+
+def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
+    fd = sg.frame_hessian(grid, values)
+    A = curvature_tensor(fd.hessian, values)
+    f, lam = curvature_invariants(A)
+    return BodyGeometry(A=A, f=f, K=1.0 / f, lam_min=lam, gradient=fd.gradient,
+                        spectrum=fd.spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +152,24 @@ def support_about(u: SupportFunction, z: NDArray) -> SupportFunction:
 
 
 def scale(u: SupportFunction, s: float) -> SupportFunction:
-    """Dilate the body by s > 0 about its current basepoint."""
+    """Dilate the body by s > 0 about its current basepoint.
+
+    The cached geometry is scaled instead of recomputed: A -> sA,
+    f -> s^n f, K -> s^-n K, lambda -> s lambda, gradient and spectrum ->
+    s times. A dilate of a valid body is valid, so nothing is re-checked.
+    """
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    return SupportFunction(u.grid, s * u.values, u.basepoint)
+    g = curvature_data(u)
+    sn = s**u.dim
+    values = s * u.values
+    values.setflags(write=False)
+    out = copy.copy(u)  # shares grid and basepoint; skips __post_init__
+    object.__setattr__(out, "values", values)
+    object.__setattr__(out, "_geometry", BodyGeometry(
+        A=s * g.A, f=sn * g.f, K=g.K / sn, lam_min=s * g.lam_min,
+        gradient=s * g.gradient, spectrum=s * g.spectrum))
+    return out
 
 
 def volume(u: SupportFunction) -> float:

@@ -363,6 +363,7 @@ def cmd_flow(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     alphas = tuple(cfg.alpha) if cfg.alpha else None
+    solver_failures = 0
     if cfg.suite == "ball":
         reports = gi.body_checks(gb.ball(sg.build_grid(cfg.dim, cfg.bandlimit)),
                                  alphas or gi.alpha_grid(cfg.dim))
@@ -374,6 +375,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                                              bandlimit=cfg.bandlimit,
                                              amplitude=cfg.amplitude))
             except GaussFlowError as e:
+                solver_failures += 1
                 reports.append(gi.CheckReport(
                     name="check-error", inputs={"seed": seed, "error": str(e)},
                     lhs=math.nan, rhs=math.nan, slack=math.nan,
@@ -385,6 +387,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     gating = [r for r in reports if "(reported)" not in r.name]
     failures = sum(not r.passed for r in gating)
     print(f"{len(reports)} checks, {failures} failures, outputs in {out}")
+    if solver_failures:  # written as check-error rows, exit as a solver failure
+        return 2
     return 1 if failures else 0
 
 

@@ -12,7 +12,6 @@ __all__ = [
     "RandomBodyFailure",
     "RadiiNonConvergence",
     "StepFailure",
-    "InsufficientContraction",
     "CompatibilityViolation",
     "NotASoliton",
     "UnsupportedDimension",
@@ -84,10 +83,6 @@ class StepFailure(GaussFlowError):
         self.rejections = int(rejections)
         where = f" near node {node}" if node is not None else ""
         super().__init__(f"step failed after {rejections} halvings (dt {dt:.3e}){where}")
-
-
-class InsufficientContraction(GaussFlowError):
-    """A trajectory did not contract enough for rescaled analysis."""
 
 
 class CompatibilityViolation(GaussFlowError):

@@ -11,9 +11,15 @@ body:
 Stepping is classic RK4 with the spectral stability cap
 dt <= 1.5 / (L(L+1) D_max) (bandlimit L, largest diffusivity D_max) and
 step rejection (halving, up to 12 times) whenever a stage loses uniform
-convexity or positivity. Normalized states are re-projected to the
-unit-ball volume after every accepted step; the accumulated |log
-rescale| is kept as an accuracy diagnostic.
+convexity or positivity. A stage is the accepted body u plus h times a
+projected increment k, so its curvature tensor and spectrum are u's
+cached ones plus h times k's, which one analysis and one synthesis of
+du give (`sphere_grid.project_frame`); it is checked like a body build
+(lambda_min > 0, u > 0, spectral tail) but builds no SupportFunction.
+The accepted body is the one validated build per step. Normalized
+states are then rescaled to the unit-ball volume by `body.scale`, which
+scales the cached geometry; the accumulated |log rescale| is kept as an
+accuracy diagnostic.
 
 Per-sample diagnostics cover the entropy (about the moving entropy point
 and about the origin), the curvature power mean, widths and radii, the
@@ -25,7 +31,7 @@ recorded instead of NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +41,7 @@ from . import sphere_grid as sg
 from . import body as gb
 from . import entropy as ge
 from .body import SupportFunction, curvature_data
-from .errors import (
-    ConvexityLost,
-    InsufficientContraction,
-    NonConvergence,
-    StepFailure,
-)
+from .errors import ConvexityLost, NonConvergence, StepFailure
 
 __all__ = [
     "KINDS",
@@ -53,8 +54,6 @@ __all__ = [
     "run",
     "diagnostics",
     "soliton_residual",
-    "rescale_trajectory",
-    "RescaledTrajectory",
     "extinction_bracket",
     "ExtinctionBracket",
 ]
@@ -85,21 +84,29 @@ class FlowState:
             raise ValueError("alpha must be nonzero")
 
 
-def rhs(state: FlowState) -> NDArray:
-    """Right-hand side du/dt on the nodes, re-projected to the bandlimit."""
-    u = state.u
-    g = curvature_data(u)
+def _velocity(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> NDArray:
+    """du/dt on the nodes, before projection, of the body with support
+    values `values`, surface-area density f and curvature K = 1/f under
+    the state's flow; the one formula of `rhs` and the RK4 stages."""
     alpha = state.alpha
     if state.kind == "unnormalized":
-        du = -g.K**alpha
-    elif state.kind == "normalized":
-        eta = sg.average(u.grid, g.K ** (alpha - 1.0))
-        du = -g.K**alpha / eta + u.values
-    else:
-        if u.values.min() <= 0.0:
-            raise ValueError("expanding flow needs positive support values")
-        du = u.values ** (1.0 + 1.0 / alpha) * g.f
-    return sg.project(u.grid, du)
+        return -K**alpha
+    if state.kind == "normalized":
+        eta = sg.average(state.u.grid, K ** (alpha - 1.0))
+        return -K**alpha / eta + values
+    if values.min() <= 0.0:
+        raise ValueError("expanding flow needs positive support values")
+    return values ** (1.0 + 1.0 / alpha) * f
+
+
+def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
+    return sg.project_frame(state.u.grid, _velocity(state, values, f, K))
+
+
+def rhs(state: FlowState) -> NDArray:
+    """Right-hand side du/dt on the nodes, re-projected to the bandlimit."""
+    g = curvature_data(state.u)
+    return _increment(state, state.u.values, g.f, g.K).values
 
 
 def _stable_dt(state: FlowState) -> float:
@@ -133,25 +140,31 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     """
     if dt_request <= 0.0:
         raise ValueError("dt_request must be positive")
-    grid = state.u.grid
-    basepoint = state.u.basepoint
+    u = state.u
+    g = curvature_data(u)
     dt = min(dt_request, _stable_dt(state))
-    k1 = rhs(state)
+    k1 = _increment(state, u.values, g.f, g.K)
 
     def stage(h, k):
-        u = SupportFunction(grid, state.u.values + h * k, basepoint)
-        _check_positive(u)
-        return u
+        """Increment at u + h k, whose tensor and spectrum are u's plus h
+        times k's; checked in the order a SupportFunction build checks."""
+        values = u.values + h * k.values
+        sg.warn_if_marginal(u.grid, g.spectrum + h * k.spectrum)
+        f, _ = gb.curvature_invariants(g.A + h * gb.curvature_tensor(k.hessian, k.values))
+        _check_positive(values)
+        return _increment(state, values, f, 1.0 / f)
 
     rejections = 0
     while True:
         if not dt > 0.0 or state.time + dt == state.time:
             raise StepFailure(None, dt, rejections)
         try:
-            k2 = rhs(replace(state, u=stage(0.5 * dt, k1)))
-            k3 = rhs(replace(state, u=stage(0.5 * dt, k2)))
-            k4 = rhs(replace(state, u=stage(dt, k3)))
-            u_new = stage(dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = stage(0.5 * dt, k1)
+            k3 = stage(0.5 * dt, k2)
+            k4 = stage(dt, k3)
+            k = k1.values + 2.0 * k2.values + 2.0 * k3.values + k4.values
+            u_new = SupportFunction(u.grid, u.values + dt / 6.0 * k, u.basepoint)
+            _check_positive(u_new.values)
             break
         except (ConvexityLost, _PositivityLost) as e:
             rejections += 1
@@ -160,8 +173,8 @@ def step(state: FlowState, dt_request: float) -> FlowState:
             dt *= 0.5
     rescale = state.cumulative_rescale
     if state.kind == "normalized":
-        target = sg.ball_volume(grid.dim)
-        s = (target / gb.volume(u_new)) ** (1.0 / (grid.dim + 1))
+        target = sg.ball_volume(u.dim)
+        s = (target / gb.volume(u_new)) ** (1.0 / (u.dim + 1))
         u_new = gb.scale(u_new, s)
         rescale += abs(math.log(s))
     return FlowState(
@@ -180,9 +193,9 @@ class _PositivityLost(Exception):
         self.node = node
 
 
-def _check_positive(u: SupportFunction) -> None:
-    i = int(np.argmin(u.values))
-    if u.values[i] <= 0.0:
+def _check_positive(values: NDArray) -> None:
+    i = int(np.argmin(values))
+    if values[i] <= 0.0:
         raise _PositivityLost(i)
 
 
@@ -302,9 +315,8 @@ class RunResult:
     """Sampled trajectory of one run.
 
     records/samples are aligned; steps counts accepted RK4 steps;
-    limit_point (entropy point of the final body) and the rescaled
-    trajectory are filled for unnormalized runs (the latter only once
-    the volume has contracted by 2x)."""
+    limit_point (entropy point of the final body) is filled for
+    unnormalized runs."""
 
     records: list
     samples: list
@@ -312,7 +324,6 @@ class RunResult:
     stop_reason: str
     steps: int = 0
     limit_point: NDArray | None = None
-    rescaled: "RescaledTrajectory | None" = None
 
 
 def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
@@ -350,10 +361,6 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
                        stop_reason=stop_reason, steps=steps)
         if kind == "unnormalized":
             rr.limit_point = ge.entropy_point(st.u, alpha).point
-            try:
-                rr.rescaled = rescale_trajectory(samples, alpha, limit_point=rr.limit_point)
-            except InsufficientContraction:
-                rr.rescaled = None
         return rr
 
     if stop_residual is not None and records[0].soliton_res < stop_residual:
@@ -387,50 +394,6 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         records.append(diagnostics(state))
         samples.append((state.time, state.u))
     return finish(state)
-
-
-class RescaledTrajectory(NamedTuple):
-    """Volume-normalized view of an unnormalized trajectory; samples are
-    (t, SupportFunction) pairs about the limit point, entropy_deviation
-    is the worst mismatch of the entropy change against the exact
-    log-scale relation."""
-
-    samples: list
-    entropy_deviation: float
-
-
-def rescale_trajectory(samples, alpha: float,
-                       limit_point: NDArray | None = None) -> RescaledTrajectory:
-    """Map (tau, u) samples of a contracting run to the normalized clock
-    t = (1/(n+1)) log(|B(1)|/|Omega_tau|) and unit-ball volume, about the
-    estimated limit point.
-
-    Requires at least 2x volume contraction across the samples. Verifies
-    that the entropy about the limit point transforms exactly by +t
-    (deviation returned; > 1e-8 raises ArithmeticError).
-    """
-    if len(samples) < 2:
-        raise InsufficientContraction("need at least two samples")
-    vols = [gb.volume(u) for _, u in samples]
-    if vols[0] < 2.0 * vols[-1]:
-        raise InsufficientContraction(
-            f"volume contracted only by {vols[0] / vols[-1]:.3f}x (need 2x)")
-    if limit_point is None:
-        limit_point = ge.entropy_point(samples[-1][1], alpha).point
-    target = sg.ball_volume(samples[0][1].dim)
-    n1 = samples[0][1].dim + 1
-    out = []
-    worst = 0.0
-    for (tau, u), vol in zip(samples, vols):
-        t = math.log(target / vol) / n1
-        u_n = gb.scale(gb.support_about(u, limit_point), math.exp(t))
-        e_before = ge.entropy_at(u, limit_point, alpha)
-        e_after = ge.entropy_at(u_n, np.zeros(u.dim + 1), alpha)
-        worst = max(worst, abs(e_after - (e_before + t)))
-        out.append((t, u_n))
-    if worst > 1e-8:
-        raise ArithmeticError(f"entropy rescaling relation violated by {worst:.3e}")
-    return RescaledTrajectory(samples=out, entropy_deviation=worst)
 
 
 class ExtinctionBracket(NamedTuple):

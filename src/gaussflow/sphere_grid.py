@@ -24,6 +24,12 @@ associated Legendre values P_l^m, and their first and second colatitude
 derivatives, at the L+1 rings. The tables hold O(L^3) numbers and no
 node-by-coefficient matrix is formed.
 
+The circle's own transforms are FFTs of the 4L nodes. `project_frame`
+instead takes the circle as one ring of that Fourier stage: its
+analysis and synthesis are matmuls against cos/sin tables of the 2L+1
+retained frequencies, a few microseconds each at the bandlimits used
+here, where an FFT call takes about ten.
+
 Grids are immutable after construction and safe to share across
 threads; `build_grid` memoizes construction per (dim, bandlimit).
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,6 +53,10 @@ __all__ = [
     "synthesize",
     "project",
     "frame_hessian",
+    "FrameDerivatives",
+    "project_frame",
+    "ProjectedFrame",
+    "warn_if_marginal",
     "spectral_tail",
     "evaluate_at",
     "sphere_area",
@@ -61,9 +72,10 @@ _TAIL_MESSAGE = (
 )
 
 # Colatitude orders and longitude orders of the derivatives synthesized
-# on the sphere: the value alone, and u_t, u_p, u_tt, u_tp, u_pp.
+# on the sphere: the value alone; u_t, u_p, u_tt, u_tp, u_pp; and both.
 _VALUE = (np.array([0]), np.array([0]))
 _FRAME_DERIVATIVES = (np.array([1, 0, 2, 1, 0]), np.array([0, 1, 0, 1, 2]))
+_VALUE_AND_FRAME = (np.array([0, 1, 0, 2, 1, 0]), np.array([0, 0, 1, 0, 1, 2]))
 
 
 def sphere_area(dim: int) -> float:
@@ -110,7 +122,10 @@ class SphereGrid:
     derivatives at the ring longitudes (4 (2L+2)^2 numbers), and P,
     dP/dtheta and d2P/dtheta2 at the rings laid out per order m, with the
     quadrature weights folded into an analysis copy of P (4 (L+1)^3
-    numbers). All arrays of the L = 32 grid take about 1.4 MB.
+    numbers). All arrays of the L = 32 grid take about 1.4 MB. The
+    circle keeps cos/sin(k theta), k <= L, at its 4L nodes for
+    `project_frame`: one analysis table and one synthesis table of value
+    and second derivative (3 (2L+2) 4L numbers, 52 kB at L = 16).
 
     Use :func:`build_grid` rather than the constructor; grids are cached.
     """
@@ -143,6 +158,14 @@ class SphereGrid:
         # coefficient layout: [const, cos 1..L, sin 1..L], orthonormal
         self.coeff_count = 2 * L + 1
         self.degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
+        # one ring of the Fourier stage, signed like rfft: columns 2k + 0/1
+        # of _ring_dft give Re and Im of rfft(u)[k]; _circle_synthesis turns
+        # those into the value (first N columns) and second derivative of
+        # the projection (weights 1/N for k = 0, 2/N above)
+        idft = _fourier_tables(L, theta) * np.tile([1.0, -1.0], L + 1)[:, None]
+        self._ring_dft = idft[0].T.copy()
+        weight = np.repeat(np.where(np.arange(L + 1) > 0, 2.0, 1.0) / N, 2)[:, None]
+        self._circle_synthesis = np.hstack([idft[0], idft[2]]) * weight
 
     def _init_sphere(self, L: int) -> None:
         nt, nphi = L + 1, 2 * L + 2
@@ -180,16 +203,12 @@ class SphereGrid:
         self.degrees = ell
         self._pair_index = (np.abs(m) * (L + 1) + ell) * 2 + (m < 0)
 
-        # Fourier stage: row 2m + 0/1 of _ring_idft[p] is the p-th
-        # longitude derivative of cos/sin(m phi) at the ring longitudes
-        orders = np.arange(L + 1)
-        m_phi = np.outer(orders, phi1)
-        c, s, m = np.cos(m_phi), np.sin(m_phi), orders[:, None]
-        idft = np.array([[c, s], [-m * s, m * c], [-m * m * c, -m * m * s]])
-        self._ring_idft = idft.transpose(0, 2, 1, 3).reshape(3, 2 * nt, nphi)
+        # Fourier stage and Legendre stage: per order, P (with the
+        # quadrature weights) for analysis and P, dP, d2P for synthesis;
+        # sqrt(2) for m > 0
+        self._ring_idft = _fourier_tables(L, phi1)
         self._ring_dft = self._ring_idft[0].T.copy()
-        # Legendre stage: per order, P (with the quadrature weights) for
-        # analysis and P, dP, d2P for synthesis; sqrt(2) for m > 0
+        orders = np.arange(L + 1)
         order_scale = np.where(orders > 0, np.sqrt(2.0), 1.0)[:, None]
         P, dP, d2P = _legendre_tables(L, theta1, derivatives=True)  # [l, m, ring]
         quad = wt1 * (2.0 * np.pi / nphi) * order_scale
@@ -205,6 +224,16 @@ class SphereGrid:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SphereGrid(dim={self.dim}, bandlimit={self.bandlimit}, nodes={self.node_count})"
+
+
+def _fourier_tables(L: int, angles: NDArray) -> NDArray:
+    """Row 2m + 0/1 of table [p] is the p-th derivative of cos/sin(m a),
+    m <= L, at the given angles a; shape (3, 2L+2, len(angles))."""
+    orders = np.arange(L + 1)
+    m_a = np.outer(orders, angles)
+    c, s, m = np.cos(m_a), np.sin(m_a), orders[:, None]
+    tables = np.array([[c, s], [-m * s, m * c], [-m * m * c, -m * m * s]])
+    return tables.transpose(0, 2, 1, 3).reshape(3, 2 * L + 2, angles.size)
 
 
 def _legendre_tables(L: int, theta: NDArray, derivatives: bool = False):
@@ -257,13 +286,14 @@ def _sphere_synthesis(grid: SphereGrid, pairs: NDArray, derivatives) -> NDArray:
     return (per_ring @ grid._ring_idft[p]).reshape(len(t), grid.node_count)
 
 
-def _tail_fraction(power: NDArray, bandlimit: int) -> float:
-    """Share of `power` at frequency or degree >= 0.9 * bandlimit; the
-    first axis of `power` is the frequency (circle) or degree (sphere)."""
-    total = power.sum()
+def _tail_fraction(spectrum: NDArray, bandlimit: int) -> float:
+    """Share of the energy of `spectrum` at frequency or degree >= 0.9 *
+    bandlimit; its first axis is the frequency (circle) or degree (sphere)."""
+    total = float(np.vdot(spectrum, spectrum))
     if total == 0.0:
         return 0.0
-    return float(power[math.ceil(0.9 * bandlimit):].sum() / total)
+    tail = spectrum[math.ceil(0.9 * bandlimit):]
+    return float(np.vdot(tail, tail)) / total
 
 
 @lru_cache(maxsize=8)
@@ -349,12 +379,53 @@ def spectral_tail(grid: SphereGrid, values: NDArray) -> float:
     """
     values = _check_values(grid, values)
     if grid.dim == 1:
-        return _tail_fraction(np.abs(np.fft.rfft(values)) ** 2, grid.bandlimit)
-    pairs = _sphere_analysis(grid, values)
-    return _tail_fraction(np.square(pairs).swapaxes(0, 1), grid.bandlimit)
+        return _tail_fraction(np.fft.rfft(values).view(np.float64).reshape(-1, 2),
+                              grid.bandlimit)
+    return _tail_fraction(_sphere_analysis(grid, values).swapaxes(0, 1), grid.bandlimit)
 
 
-def frame_hessian(grid: SphereGrid, values: NDArray) -> tuple[NDArray, NDArray]:
+class FrameDerivatives(NamedTuple):
+    """Covariant Hessian, gradient and spectrum of a field (`frame_hessian`).
+
+    spectrum holds the field's Fourier or harmonic content with the
+    frequency or degree on its first axis: on the circle (2L+1, 2), the
+    real and imaginary parts of the 4L-point rfft, frequencies 0..2L; on
+    the sphere (L+1, L+1, 2), the per-order coefficient pairs indexed
+    [l, m]. Like the other two, it is linear in the node values.
+    """
+
+    hessian: NDArray
+    gradient: NDArray
+    spectrum: NDArray
+
+
+class ProjectedFrame(NamedTuple):
+    """Projection of a field onto the bandlimit (`project_frame`): node
+    values, frame Hessian and spectrum (layout of FrameDerivatives)."""
+
+    values: NDArray
+    hessian: NDArray
+    spectrum: NDArray
+
+
+def warn_if_marginal(grid: SphereGrid, spectrum: NDArray) -> None:
+    """Warn with a fixed RuntimeWarning when the top 10% of retained modes
+    carry more than TAIL_WARN_THRESHOLD of the energy of `spectrum`
+    (layout of FrameDerivatives.spectrum)."""
+    if _tail_fraction(spectrum, grid.bandlimit) > TAIL_WARN_THRESHOLD:
+        warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
+
+
+def _sphere_hessian(grid: SphereGrid, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
+    inv_st, cot = grid._inv_sin, grid._cot
+    hess = np.empty((grid.node_count, 2, 2))
+    hess[:, 0, 0] = u_tt
+    hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot * u_p) * inv_st
+    hess[:, 1, 1] = u_pp * inv_st * inv_st + cot * u_t
+    return hess
+
+
+def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     """Covariant Hessian and gradient in the orthonormal spherical frame.
 
     Parameters
@@ -365,12 +436,15 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> tuple[NDArray, NDArray]:
 
     Returns
     -------
+    FrameDerivatives with
     hessian : ndarray, shape (node_count, dim, dim)
-        On the circle this is u''(theta); on the sphere the components
-        are H11 = u_tt, H12 = (u_tp - cot(t) u_p)/sin(t),
-        H22 = u_pp/sin^2(t) + cot(t) u_t.
+        On the circle this is u''(theta) of the 4L-point interpolant; on
+        the sphere the components are H11 = u_tt,
+        H12 = (u_tp - cot(t) u_p)/sin(t), H22 = u_pp/sin^2(t) + cot(t) u_t.
     gradient : ndarray, shape (node_count, dim)
         (u_t, u_p/sin(t)) on the sphere; u' on the circle.
+    spectrum : ndarray
+        See FrameDerivatives.
 
     Warns with a fixed RuntimeWarning when the spectral tail exceeds
     1e-8 of the energy (marginally resolved input).
@@ -379,22 +453,45 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> tuple[NDArray, NDArray]:
     M = grid.node_count
     if grid.dim == 1:
         ch = np.fft.rfft(values)
-        if _tail_fraction(np.abs(ch) ** 2, grid.bandlimit) > TAIL_WARN_THRESHOLD:
-            warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
+        spectrum = ch.view(np.float64).reshape(-1, 2)
+        warn_if_marginal(grid, spectrum)
         k = np.arange(ch.size)
         der = np.fft.irfft(np.vstack([1j * k * ch, -(k * k) * ch]), n=M, axis=-1)
-        return der[1].reshape(M, 1, 1), der[0].reshape(M, 1)
+        return FrameDerivatives(der[1].reshape(M, 1, 1), der[0].reshape(M, 1), spectrum)
     pairs = _sphere_analysis(grid, values)
-    if _tail_fraction(np.square(pairs).swapaxes(0, 1), grid.bandlimit) > TAIL_WARN_THRESHOLD:
-        warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
+    spectrum = pairs.swapaxes(0, 1)
+    warn_if_marginal(grid, spectrum)
     u_t, u_p, u_tt, u_tp, u_pp = _sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES)
-    inv_st, cot = grid._inv_sin, grid._cot
-    grad = np.stack([u_t, u_p * inv_st], axis=1)
-    hess = np.empty((M, 2, 2))
-    hess[:, 0, 0] = u_tt
-    hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot * u_p) * inv_st
-    hess[:, 1, 1] = u_pp * inv_st * inv_st + cot * u_t
-    return hess, grad
+    grad = np.stack([u_t, u_p * grid._inv_sin], axis=1)
+    return FrameDerivatives(_sphere_hessian(grid, u_t, u_p, u_tt, u_tp, u_pp), grad, spectrum)
+
+
+def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
+    """Projection of node values onto the bandlimit, with its frame Hessian
+    and spectrum, from one analysis and one synthesis.
+
+    Equals `project` followed by `frame_hessian` up to rounding, without
+    the tail check: a projection has no energy above the bandlimit. On the
+    circle both transforms are matmuls against the cos/sin tables of the
+    retained frequencies (see the module docstring).
+    """
+    values = _check_values(grid, values)
+    if grid.dim == 1:
+        # the tables' sums of cos/sin(k theta) over the nodes are not
+        # exactly 0, so a constant would pick up rounding in every mode;
+        # analysing values - values[0] keeps a constant (a ball's
+        # increment) exactly constant, as the FFT does
+        L, M = grid.bandlimit, grid.node_count
+        shift = values[0]
+        sums = (values - shift) @ grid._ring_dft
+        rows = sums @ grid._circle_synthesis
+        spectrum = np.zeros((2 * L + 1, 2))
+        spectrum[: L + 1] = sums.reshape(L + 1, 2)
+        spectrum[0, 0] += M * shift
+        return ProjectedFrame(rows[:M] + shift, rows[M:].reshape(M, 1, 1), spectrum)
+    pairs = _sphere_analysis(grid, values)
+    rows = _sphere_synthesis(grid, pairs, _VALUE_AND_FRAME)
+    return ProjectedFrame(rows[0], _sphere_hessian(grid, *rows[1:]), pairs.swapaxes(0, 1))
 
 
 def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,

@@ -102,6 +102,26 @@ def test_scaling_laws(dim):
                     s ** (n * (n + 1) / (n + 2)) * gb.affine_surface_area(u), rtol=1e-10)
 
 
+@pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 16)])
+@pytest.mark.parametrize("s,rtol", [(0.5, 0.0), (2.0, 0.0), (0.7, 1e-12), (1.3, 1e-12)])
+def test_scaled_geometry_equals_rebuilt(dim, L, s, rtol):
+    # a power of two commutes with every rounding, so there the rebuilt
+    # geometry is the scaled one exactly; otherwise the rebuild's own
+    # rounding, about 1e-13 at L = 16, sets the tolerance
+    u0 = gb.random_body(3, dim, L, 0.1)
+    u = gb.SupportFunction(u0.grid, u0.values)
+    us = gb.scale(u, s)
+    rebuilt = gb.SupportFunction(u.grid, s * u.values, u.basepoint)
+    assert np.array_equal(us.values, rebuilt.values)
+    assert not us.values.flags.writeable
+    with pytest.raises(ValueError):
+        us.values[0] = 1.0
+    g, g_ref = gb.curvature_data(us), gb.curvature_data(rebuilt)
+    for field in ("A", "f", "K", "lam_min", "gradient", "spectrum"):
+        got, want = getattr(g, field), getattr(g_ref, field)
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), field
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_translation_invariance(dim):
     u = gb.random_body(5, dim, 8, 0.2)

@@ -234,6 +234,16 @@ class TestVerify:
         doc = json.loads((tmp_path / "checks.json").read_text())
         assert doc["passed"] is False
 
+    def test_solver_failure_exits_2_and_keeps_its_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gb, "_MAX_PIVOTS", 1)
+        rc = main(["verify", "--suite", "fuzz", "--dim", "2", "--bandlimit", "8",
+                   "--seeds", "0", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        doc = json.loads((tmp_path / "checks.json").read_text())
+        assert [r["name"] for r in doc["reports"]] == ["check-error"]
+        assert "radius solve stalled" in doc["reports"][0]["inputs"]["error"]
+        assert "check-error" in (tmp_path / "checks.csv").read_text()
+
     def test_determinism(self, tmp_path):
         args = ["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit", "12",
                 "--seeds", "0,1"]

@@ -95,7 +95,7 @@ def test_single_harmonic_normalized():
 def test_circle_second_derivative_of_cos():
     grid = sg.build_grid(1, 8)
     u = np.cos(grid.thetas)
-    hess, grad = sg.frame_hessian(grid, u)
+    hess, grad, _ = sg.frame_hessian(grid, u)
     assert_allclose(hess[:, 0, 0], -u, atol=1e-12)
     assert_allclose(grad[:, 0], -np.sin(grid.thetas), atol=1e-12)
 
@@ -107,7 +107,7 @@ def test_sphere_hessian_trace_is_laplacian(ell, m):
     e = np.zeros(grid.coeff_count)
     e[ell * ell + ell + m] = 1.0
     y = sg.synthesize(grid, e)
-    hess, _ = sg.frame_hessian(grid, y)
+    hess, _, _ = sg.frame_hessian(grid, y)
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     assert_allclose(lap, -ell * (ell + 1) * y, atol=1e-9)
 
@@ -115,7 +115,7 @@ def test_sphere_hessian_trace_is_laplacian(ell, m):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_constant_has_zero_hessian(dim):
     grid = sg.build_grid(dim, 8)
-    hess, grad = sg.frame_hessian(grid, np.full(grid.node_count, 2.5))
+    hess, grad, _ = sg.frame_hessian(grid, np.full(grid.node_count, 2.5))
     assert np.abs(hess).max() < 1e-12
     assert np.abs(grad).max() < 1e-12
 
@@ -126,7 +126,7 @@ def test_degree_one_in_kernel_of_A(dim):
     grid = sg.build_grid(dim, 8)
     z = np.arange(1.0, dim + 2.0)
     u = grid.nodes @ z
-    hess, _ = sg.frame_hessian(grid, u)
+    hess, _, _ = sg.frame_hessian(grid, u)
     A = hess + u[:, None, None] * np.eye(dim)
     assert np.abs(A).max() < 1e-10
 
@@ -137,11 +137,28 @@ def test_frame_hessian_linear(dim):
     grid = sg.build_grid(dim, 8)
     u = random_field(grid, seed=1)
     v = random_field(grid, seed=2)
-    hu, gu = sg.frame_hessian(grid, u)
-    hv, gv = sg.frame_hessian(grid, v)
-    hw, gw = sg.frame_hessian(grid, 2.0 * u - 3.0 * v)
+    hu, gu, su = sg.frame_hessian(grid, u)
+    hv, gv, sv = sg.frame_hessian(grid, v)
+    hw, gw, sw = sg.frame_hessian(grid, 2.0 * u - 3.0 * v)
     assert_allclose(hw, 2.0 * hu - 3.0 * hv, atol=1e-11)
     assert_allclose(gw, 2.0 * gu - 3.0 * gv, atol=1e-11)
+    assert_allclose(sw, 2.0 * su - 3.0 * sv, atol=1e-11)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim,L", [(1, 8), (1, 16), (2, 8), (2, 16)])
+def test_project_frame_is_project_then_frame_hessian(dim, L):
+    # exp(x_0) carries every degree, so both must drop the modes above L
+    grid = sg.build_grid(dim, L)
+    u = random_field(grid, seed=7) + 0.3 * np.exp(2.0 * grid.nodes[:, 0])
+    pf = sg.project_frame(grid, u)
+    p = sg.project(grid, u)
+    hess, _, spectrum = sg.frame_hessian(grid, p)
+    scale = np.abs(hess).max()
+    assert_allclose(pf.values, p, atol=1e-13 * np.abs(p).max())
+    assert_allclose(pf.hessian, hess, atol=1e-13 * scale)
+    assert_allclose(pf.spectrum, spectrum, atol=1e-13 * np.abs(spectrum).max())
+    assert pf.spectrum.shape == spectrum.shape
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -149,7 +166,7 @@ def test_frame_hessian_linear(dim):
 def test_laplacian_integrates_to_zero(dim):
     grid = sg.build_grid(dim, 10)
     u = random_field(grid, seed=3)
-    hess, _ = sg.frame_hessian(grid, u)
+    hess, _, _ = sg.frame_hessian(grid, u)
     lap = np.trace(hess, axis1=1, axis2=2)
     assert abs(sg.integrate(grid, lap)) < 1e-10
 
@@ -233,7 +250,7 @@ def test_sphere_hessian_trace_is_laplacian_at_top_degree(m):
     e = np.zeros(grid.coeff_count)
     e[ell * ell + ell + m] = 1.0
     y = sg.synthesize(grid, e)
-    hess, _ = sg.frame_hessian(grid, y)
+    hess, _, _ = sg.frame_hessian(grid, y)
     lap = hess[:, 0, 0] + hess[:, 1, 1]
     scale = ell * (ell + 1) * np.abs(y).max()
     assert np.abs(lap + ell * (ell + 1) * y).max() < 1e-10 * scale
