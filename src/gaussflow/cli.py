@@ -9,12 +9,15 @@ flow       evolve a body file; diagnostics CSV, final body, SVG (n=1)
 verify     run inequality check suites; CSV + JSON reports
 sweep      normalized runs over an alpha x seed matrix; aggregated CSV
 
-Options can come from a flat key=value config file (--config). Its keys
-are the subcommand's own flag names, and its lines are parsed as those
-flags placed before the command line's, so explicit flags override the
-file and the file overrides built-in defaults; any other key is a usage
-error. Every output file carries the tool version and a digest of the
-resolved config, and identical configs produce byte-identical outputs.
+Each flag is declared once, and its type carries its own value rule;
+only rules that tie flags together are checked after parsing. Options
+can come from a flat key=value config file (--config). Its keys are the
+subcommand's own flag names, and its lines are parsed one at a time as
+those flags placed before the command line's, so explicit flags override
+the file, the file overrides built-in defaults, and a bad key or value
+names its file and line. Every output file carries the tool version and
+a digest of the resolved config, and identical configs produce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 check failure, 2 solver failure, 3 usage.
 """
@@ -80,18 +83,12 @@ class RunConfig:
     svg_curves: int = 12
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(tok) for tok in text.split(","))
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+def _list(item):
+    """Comma-separated item values; blank text is the empty tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(tok) for tok in text.split(",")) if text.strip() else ()
+    parse.__name__ = f"{item.__name__} list"
+    return parse
 
 
 def _opt_float(text: str) -> float | None:
@@ -112,6 +109,73 @@ def _bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _rule(convert, holds, rule: str):
+    """A flag type that converts its text and then requires holds(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid <name> value"
+    return parse
+
+
+# Every flag once: its argparse keywords, value rule included.
+_FLAGS = {
+    "config": dict(help="flat key = value file; keys are this subcommand's "
+                   "flag names, # starts a comment"),
+    "dim": dict(type=int, choices=(1, 2), help="1 (curves) or 2 (surfaces)"),
+    "bandlimit": dict(type=_rule(int, lambda v: v >= 4, "must be >= 4"),
+                      help="spectral bandlimit L"),
+    "out-dir": dict(help="output directory"),
+    "out": dict(help="output file"),
+    "input": dict(help="body file"),
+    "shape": dict(choices=_SHAPES),
+    "radius": dict(type=_rule(float, lambda v: v > 0, "must be positive")),
+    "axes": dict(type=_rule(_list(float), lambda v: all(a > 0 for a in v),
+                            "entries must be positive"),
+                 help="comma-separated semi-axes (dim+1 of them)"),
+    "seed": dict(type=_rule(int, lambda v: v >= 0, "must be >= 0")),
+    "amplitude": dict(type=_rule(float, lambda v: 0 <= v < 1, "must be in [0, 1)")),
+    "symmetric": dict(type=_bool, nargs="?", const=True,
+                      help="centrally symmetric random body (optional true/false)"),
+    "normalize": dict(type=_bool, nargs="?", const=True,
+                      help="rescale to unit-ball volume (optional true/false)"),
+    "kind": dict(choices=gf.KINDS),
+    "alpha": dict(type=_rule(_list(float),
+                             lambda v: all(math.isfinite(a) and a != 0 for a in v),
+                             "entries must be finite and nonzero"),
+                  help="comma-separated exponents: one for flow, at least one "
+                  "for sweep; verify defaults to a built-in grid"),
+    "t-end": dict(type=_rule(float, lambda v: v >= 0, "must be nonnegative")),
+    "sample-every": dict(type=_rule(_opt_float, lambda v: v is None or v > 0,
+                                    "must be positive or 'none'")),
+    "stop-residual": dict(type=_residual, help="float, 'default' or 'none'"),
+    "u-floor": dict(type=_rule(float, lambda v: v > 0, "must be positive")),
+    "svg-curves": dict(type=_rule(int, lambda v: v >= 2, "must be >= 2"),
+                       help="max snapshot curves in the SVG overlay (n=1)"),
+    "suite": dict(choices=_SUITES),
+    "seeds": dict(type=_rule(_list(int), lambda v: v and min(v) >= 0,
+                             "must be nonempty, each >= 0"),
+                  help="explicit seed list"),
+    "seed-count": dict(type=_rule(int, lambda v: v >= 1, "must be >= 1"),
+                       help="use seeds 0..N-1"),
+    "workers": dict(type=_rule(int, lambda v: v >= 1, "must be >= 1"),
+                    help="parallel runs"),
+}
+
+# Each subcommand's help and its flags after --config --dim --bandlimit --out-dir.
+_SUBCOMMANDS = {
+    "make-body": ("write a body file",
+                  "shape radius axes seed amplitude symmetric normalize out"),
+    "flow": ("run a flow from a body file",
+             "input kind alpha t-end sample-every stop-residual u-floor svg-curves"),
+    "verify": ("run inequality check suites", "suite alpha seeds seed-count amplitude"),
+    "sweep": ("alpha x seed sweep of normalized runs", "alpha seeds seed-count shape "
+              "axes amplitude symmetric t-end stop-residual workers"),
+}
 
 
 def _config_args(parser: argparse.ArgumentParser, subcommand: str,
@@ -154,121 +218,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gaussflow",
                      description="Gauss curvature flows in support-function form.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-
-    def subcommand(name, help):
+    for name, (help, flags) in _SUBCOMMANDS.items():
         # allow_abbrev=False: a config key must be a whole flag name
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument("--config", help="flat key = value file; keys are this "
-                       "subcommand's flag names, # starts a comment")
-        p.add_argument("--dim", type=int, default=argparse.SUPPRESS,
-                       help="1 (curves) or 2 (surfaces)")
-        p.add_argument("--bandlimit", type=int, default=argparse.SUPPRESS,
-                       help="spectral bandlimit L")
-        p.add_argument("--out-dir", default=argparse.SUPPRESS,
-                       help="output directory")
-        return p
-
-    p = subcommand("make-body", "write a body file")
-    p.add_argument("--shape", choices=_SHAPES, default=argparse.SUPPRESS)
-    p.add_argument("--radius", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--axes", type=_float_list, default=argparse.SUPPRESS,
-                   help="comma-separated semi-axes (dim+1 of them)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--amplitude", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--symmetric", type=_bool, nargs="?", const=True,
-                   default=argparse.SUPPRESS,
-                   help="centrally symmetric random body (optional true/false)")
-    p.add_argument("--normalize", type=_bool, nargs="?", const=True,
-                   default=argparse.SUPPRESS,
-                   help="rescale to unit-ball volume (optional true/false)")
-    p.add_argument("--out", default=argparse.SUPPRESS, help="output file")
-
-    p = subcommand("flow", "run a flow from a body file")
-    p.add_argument("--input", default=argparse.SUPPRESS, help="body file")
-    p.add_argument("--kind", choices=gf.KINDS, default=argparse.SUPPRESS)
-    p.add_argument("--alpha", type=_float_list, default=argparse.SUPPRESS,
-                   help="curvature exponent (exactly one)")
-    p.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--sample-every", type=_opt_float, default=argparse.SUPPRESS)
-    p.add_argument("--stop-residual", type=_residual, default=argparse.SUPPRESS,
-                   help="float, 'default' or 'none'")
-    p.add_argument("--u-floor", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--svg-curves", type=int, default=argparse.SUPPRESS,
-                   help="max snapshot curves in the SVG overlay (n=1)")
-
-    p = subcommand("verify", "run inequality check suites")
-    p.add_argument("--suite", choices=_SUITES, default=argparse.SUPPRESS)
-    p.add_argument("--alpha", type=_float_list, default=argparse.SUPPRESS,
-                   help="exponent grid (default: built-in grid)")
-    p.add_argument("--seeds", type=_int_list, default=argparse.SUPPRESS,
-                   help="explicit seed list")
-    p.add_argument("--seed-count", type=int, default=argparse.SUPPRESS,
-                   help="use seeds 0..N-1")
-    p.add_argument("--amplitude", type=float, default=argparse.SUPPRESS)
-
-    p = subcommand("sweep", "alpha x seed sweep of normalized runs")
-    p.add_argument("--alpha", type=_float_list, default=argparse.SUPPRESS,
-                   help="exponent grid (required, nonempty)")
-    p.add_argument("--seeds", type=_int_list, default=argparse.SUPPRESS)
-    p.add_argument("--seed-count", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--shape", choices=_SHAPES, default=argparse.SUPPRESS)
-    p.add_argument("--axes", type=_float_list, default=argparse.SUPPRESS)
-    p.add_argument("--amplitude", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--symmetric", type=_bool, nargs="?", const=True,
-                   default=argparse.SUPPRESS, help="optional true/false")
-    p.add_argument("--t-end", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--stop-residual", type=_residual, default=argparse.SUPPRESS)
-    p.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                   help="parallel runs")
+        for flag in ["config", "dim", "bandlimit", "out-dir", *flags.split()]:
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **_FLAGS[flag])
+    sub.choices["sweep"].set_defaults(shape="random")
     return parser
 
 
 def resolve(ns: argparse.Namespace) -> RunConfig:
     """Fill built-in defaults in around the parsed flags."""
     data = {k: v for k, v in vars(ns).items() if k not in ("config", "subcommand")}
-    if ns.subcommand == "sweep":
-        data.setdefault("shape", "random")
     cfg = RunConfig(subcommand=ns.subcommand, **data)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    def fail(msg):
-        raise UsageError(msg)
-
-    if cfg.dim not in (1, 2):
-        fail(f"dim must be 1 or 2, got {cfg.dim}")
-    if cfg.bandlimit < 4:
-        fail(f"bandlimit must be >= 4, got {cfg.bandlimit}")
-    if any(a == 0.0 for a in cfg.alpha):
-        fail("alpha entries must be nonzero")
-    if cfg.t_end < 0.0:
-        fail("t-end must be nonnegative")
-    if cfg.sample_every is not None and cfg.sample_every <= 0.0:
-        fail("sample-every must be positive")
-    if not 0.0 <= cfg.amplitude < 1.0:
-        fail("amplitude must be in [0, 1)")
-    if cfg.workers < 1:
-        fail("workers must be >= 1")
-    if cfg.u_floor <= 0.0:
-        fail("u-floor must be positive")
-    if cfg.radius <= 0.0:
-        fail("radius must be positive")
-    if cfg.svg_curves < 2:
-        fail("svg-curves must be >= 2")
-    if cfg.subcommand in ("make-body", "sweep") and cfg.shape == "ellipse":
-        if cfg.axes is None or len(cfg.axes) != cfg.dim + 1:
-            fail(f"ellipse needs --axes with {cfg.dim + 1} entries")
-        if any(a <= 0 for a in (cfg.axes or ())):
-            fail("semi-axes must be positive")
-    if cfg.subcommand == "flow":
-        if cfg.input is None:
-            fail("flow needs --input")
-        if len(cfg.alpha) != 1:
-            fail("flow needs exactly one alpha")
+    """The rules that tie flags together; a flag's own rule is in its type."""
+    if cfg.shape == "ellipse" and len(cfg.axes or ()) != cfg.dim + 1:
+        raise UsageError(f"ellipse needs --axes with {cfg.dim + 1} entries")
+    if cfg.subcommand == "flow" and cfg.input is None:
+        raise UsageError("flow needs --input")
+    if cfg.subcommand == "flow" and len(cfg.alpha) != 1:
+        raise UsageError("flow needs exactly one alpha")
     if cfg.subcommand == "sweep" and not cfg.alpha:
-        fail("alpha list must not be empty")
+        raise UsageError("alpha list must not be empty")
 
 
 _NON_SEMANTIC_FIELDS = ("out_dir", "out", "workers")
@@ -409,10 +385,7 @@ def _sweep_one(cfg: RunConfig, alpha: float, seed: int):
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    seeds = _resolve_seeds(cfg, default_count=3)
-    if not seeds:
-        raise UsageError("seed list must not be empty")
-    tasks = [(a, s) for a in cfg.alpha for s in seeds]
+    tasks = [(a, s) for a in cfg.alpha for s in _resolve_seeds(cfg, default_count=3)]
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(lambda t: _sweep_one(cfg, *t), tasks))
@@ -448,7 +421,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.subcommand is None:
             parser.error("a subcommand is required")
-        if ns.config:
+        if getattr(ns, "config", None):
             rest = argv[argv.index(ns.subcommand) + 1:]
             file_args = _config_args(parser, ns.subcommand, ns.config)
             ns = parser.parse_args([ns.subcommand, *file_args, *rest])

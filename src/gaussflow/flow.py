@@ -284,7 +284,7 @@ def diagnostics(state: FlowState) -> DiagnosticsRecord:
         if u.dim == 1:
             from .inequalities import curvature_image  # deferred: avoids cycle
 
-            ci = curvature_image(u, alpha)
+            ci = curvature_image(u, alpha, ep=ep)
             j3 = (u.dim / (u.dim + 1)) * math.log(vol / gb.volume(ci.body))
     return DiagnosticsRecord(
         time=state.time,
@@ -359,8 +359,9 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
     def finish(st):
         rr = RunResult(records=records, samples=samples, final_state=st,
                        stop_reason=stop_reason, steps=steps)
-        if kind == "unnormalized":
-            rr.limit_point = ge.entropy_point(st.u, alpha).point
+        if kind == "unnormalized":  # the last record solved it unless a step failed
+            rr.limit_point = (records[-1].entropy_point if samples[-1][1] is st.u
+                              else ge.entropy_point(st.u, alpha).point)
         return rr
 
     if stop_residual is not None and records[0].soliton_res < stop_residual:

@@ -6,6 +6,7 @@ a couple of subprocess smoke tests cover the module entry point.
 
 import json
 import platform
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -19,7 +20,7 @@ from gaussflow import fileio
 from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
-from gaussflow.cli import main
+from gaussflow.cli import build_parser, config_digest, main, resolve
 from gaussflow.errors import StepFailure
 
 
@@ -244,6 +245,16 @@ class TestVerify:
         assert "radius solve stalled" in doc["reports"][0]["inputs"]["error"]
         assert "check-error" in (tmp_path / "checks.csv").read_text()
 
+    @pytest.mark.parametrize("sub", ["verify", "sweep"])
+    @pytest.mark.parametrize("seeds", [["--seeds="], ["--seed-count=0"],
+                                       ["--seed-count=-2"], ["--seeds=1,-1"]],
+                             ids=["empty-list", "zero-count", "negative-count",
+                                  "negative-seed"])
+    def test_bad_seed_list_is_usage_error(self, tmp_path, sub, seeds):
+        out = tmp_path / "out"
+        assert main([sub, "--alpha", "1", *seeds, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         args = ["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit", "12",
                 "--seeds", "0,1"]
@@ -398,6 +409,74 @@ class TestConfigFile:
         assert not out.exists()
 
 
+# One bad value per single-flag rule, each on a subcommand that has the flag.
+FLAG_RULES = [
+    ("make-body", "dim", "3"),
+    ("make-body", "bandlimit", "2"),
+    ("sweep", "alpha", "1,0"),
+    ("verify", "alpha", "nan"),
+    ("flow", "t-end", "-1"),
+    ("flow", "sample-every", "0"),
+    ("verify", "amplitude", "1"),
+    ("sweep", "workers", "0"),
+    ("flow", "u-floor", "0"),
+    ("make-body", "radius", "-1"),
+    ("flow", "svg-curves", "1"),
+    ("make-body", "axes", "2,-1"),
+    ("make-body", "seed", "-1"),
+]
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize("sub, flag, value", FLAG_RULES,
+                             ids=[f"{r[1]}={r[2]}" for r in FLAG_RULES])
+    def test_on_the_command_line(self, tmp_path, capsys, sub, flag, value):
+        out = tmp_path / "out"
+        assert main([sub, f"--{flag}={value}", "--out-dir", str(out)]) == 3
+        assert f"argument --{flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, flag, value", FLAG_RULES,
+                             ids=[f"{r[1]}={r[2]}" for r in FLAG_RULES])
+    def test_in_a_config_file_names_the_line(self, tmp_path, capsys, sub, flag, value):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"# one bad value\n{flag} = {value}\n")
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert f"{cfg}:2: argument --{flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, flags", [
+        ("make-body", "amplitude axes normalize out radius seed shape symmetric"),
+        ("flow", "alpha input kind sample-every stop-residual svg-curves t-end u-floor"),
+        ("verify", "alpha amplitude seed-count seeds suite"),
+        ("sweep", "alpha amplitude axes seed-count seeds shape stop-residual "
+                  "symmetric t-end workers"),
+    ], ids=["make-body", "flow", "verify", "sweep"])
+    def test_help_lists_the_subcommands_flags(self, capsys, sub, flags):
+        assert main([sub, "--help"]) == 0
+        shared = {"--help", "--config", "--dim", "--bandlimit", "--out-dir"}
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == \
+               shared | {f"--{f}" for f in flags.split()}
+
+
+class TestConfigDigest:
+    # computed with the parser that declared flags per subcommand; the
+    # digest is the output headers' link to their settings
+    @pytest.mark.parametrize("argv, digest", [
+        ("sweep --dim 1 --bandlimit 16 --workers 1 --alpha 0.5 --seeds 1,2,3,4 "
+         "--t-end 0.5", "0589441ac355"),
+        ("flow --input x.json --kind normalized --alpha 1 --t-end 7e-05 "
+         "--sample-every 1.75e-05", "6fefe5272fdc"),
+        ("verify --suite fuzz --dim 2 --bandlimit 8 --seeds 5,6", "28ec1a0bc7c4"),
+        ("make-body --shape random --seed 3 --dim 2 --bandlimit 32 --out b.json",
+         "1d8445f32f64"),
+        ("sweep --alpha 1 --seeds 0,1 --symmetric", "36cac92fa85a"),
+    ], ids=["sweep-n1", "flow-n2", "verify-fuzz", "make-body", "sweep-defaults"])
+    def test_pinned(self, argv, digest):
+        assert config_digest(resolve(build_parser().parse_args(argv.split()))) == digest
+
+
 class TestEntryPoint:
     def test_help_exits_zero(self):
         proc = subprocess.run([sys.executable, "-m", "gaussflow.cli", "--help"],
@@ -429,7 +508,7 @@ class TestEntryPoint:
 _LP_FAULTS_SCRIPT = """
 import resource, sys
 from gaussflow import body as gb, fileio
-from gaussflow.cli import main
+from gaussflow.cli import build_parser, config_digest, main, resolve
 path = sys.argv[1]
 assert main(["make-body", "--dim", "2", "--bandlimit", "32", "--shape", "random",
              "--seed", "5", "--out", path]) == 0

@@ -411,3 +411,22 @@ class TestExpanding:
         drift = [np.linalg.norm(r.entropy_point - rec[0].entropy_point)
                  for r in rec]
         assert max(drift) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ["expanding", "unnormalized"])
+    def test_one_entropy_solve_per_sample(self, monkeypatch, kind):
+        # j3's curvature image and the unnormalized limit point reuse the
+        # sample's entropy point instead of solving it again
+        real, calls = ge.entropy_point, []
+
+        def counting(u, alpha):
+            calls.append(alpha)
+            return real(u, alpha)
+
+        monkeypatch.setattr(ge, "entropy_point", counting)
+        u0 = gb.ellipse(circle(16), (1.4, 0.8))
+        res = gf.run(u0, kind, 1.0, 0.05, sample_every=0.0125)
+        assert len(res.records) == 5
+        assert len(calls) == len(res.records)
+        if kind == "unnormalized":
+            assert np.array_equal(res.limit_point,
+                                  real(res.final_state.u, 1.0).point)
