@@ -224,20 +224,18 @@ def hausdorff_distance(u1: SupportFunction, u2: SupportFunction) -> float:
 
 
 class WidthRadii(NamedTuple):
-    """Extremal widths and radii with their witnesses.
+    """Extremal widths, and radii with their centers.
 
-    w_plus/w_minus: max/min over nodes of the width u(x) + u(-x), with
-    the witnessing directions. rho_plus/rho_minus: circumradius and
-    inradius as min-max/max-min of u(x) - <z, x> over grid nodes, solved
-    exactly by `_radius_lp`, with the centers (relative to the basepoint).
+    w_plus/w_minus: max/min over nodes of the width u(x) + u(-x).
+    rho_plus/rho_minus: circumradius and inradius as min-max/max-min of
+    u(x) - <z, x> over grid nodes, solved exactly by `_radius_lp`, with
+    the centers (relative to the basepoint).
     """
 
     w_plus: float
     w_minus: float
     rho_plus: float
     rho_minus: float
-    dir_w_plus: NDArray
-    dir_w_minus: NDArray
     center_out: NDArray
     center_in: NDArray
 
@@ -295,16 +293,13 @@ def width_radii(u: SupportFunction) -> WidthRadii:
     rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
     -(outer radius of -u), about the negated center."""
     w = u.values + u.values[u.grid.antipode]
-    i_max, i_min = int(np.argmax(w)), int(np.argmin(w))
     rho_plus, center_out = _radius_lp(u.grid.nodes, u.values)
     neg_rho, neg_center = _radius_lp(u.grid.nodes, -u.values)
     return WidthRadii(
-        w_plus=float(w[i_max]),
-        w_minus=float(w[i_min]),
+        w_plus=float(w.max()),
+        w_minus=float(w.min()),
         rho_plus=rho_plus,
         rho_minus=-neg_rho,
-        dir_w_plus=u.grid.nodes[i_max].copy(),
-        dir_w_minus=u.grid.nodes[i_min].copy(),
         center_out=center_out,
         center_in=-neg_center,
     )

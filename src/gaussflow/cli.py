@@ -111,6 +111,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# the type names argparse prints in "invalid <name> value: ..."
+_opt_float.__name__ = "float or 'none'"
+_residual.__name__ = "float, 'default' or 'none'"
+_bool.__name__ = "boolean"
+
+
 def _rule(convert, holds, rule: str):
     """A flag type that converts its text and then requires holds(value)."""
     def parse(text: str):

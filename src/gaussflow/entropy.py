@@ -48,7 +48,6 @@ MAX_ITER = 100
 class EntropyResult:
     """Converged entropy extremum: value, extremal point, solver stats."""
 
-    alpha: float
     value: float
     point: NDArray
     gradient_norm: float  # stationarity residual relative to int u^(-1/alpha)
@@ -148,7 +147,7 @@ def entropy_point(u: SupportFunction, alpha: float) -> EntropyResult:
     res, z, it = best if best[0] < res else (res, z, it)
     if res > GRAD_TOL:
         raise NonConvergence(it, res)
-    return EntropyResult(alpha=alpha, value=entropy_at(u, z, alpha), point=z,
+    return EntropyResult(value=entropy_at(u, z, alpha), point=z,
                          gradient_norm=res, iterations=it)
 
 

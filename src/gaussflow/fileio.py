@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from numpy.typing import NDArray
 from . import __version__
 from . import sphere_grid as sg
 from .body import SupportFunction, boundary_points
+from .flow import DiagnosticsRecord
 
 __all__ = [
     "write_body",
@@ -34,6 +36,7 @@ __all__ = [
 
 BODY_FORMAT = "gaussflow-body"
 CHECKS_FORMAT = "gaussflow-checks"
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
 
 
 def _fmt(x: float) -> str:
@@ -112,21 +115,19 @@ def read_body(path) -> SupportFunction:
 
 
 def trajectory_columns(dim: int) -> list[str]:
-    """CSV column names for DiagnosticsRecord rows in dimension n."""
-    cols = ["time", "volume", "entropy", "entropy_origin"]
-    cols += [f"ze_{i}" for i in range(dim + 1)]
-    cols += ["zalpha", "u_min", "u_max", "k_min", "k_max",
-             "w_plus", "w_minus", "rho_plus", "rho_minus",
-             "soliton_residual", "dissipation", "j1", "j2", "j3", "q"]
-    return cols
+    """CSV column names for DiagnosticsRecord rows in dimension n: the
+    record's fields in order, with entropy_point as ze_0..ze_n and
+    soliton_res as soliton_residual."""
+    renamed = {"entropy_point": [f"ze_{i}" for i in range(dim + 1)],
+               "soliton_res": ["soliton_residual"]}
+    return [col for name in _RECORD_FIELDS for col in renamed.get(name, [name])]
 
 
 def _record_values(rec) -> list[float]:
-    vals = [rec.time, rec.volume, rec.entropy, rec.entropy_origin]
-    vals += [float(c) for c in rec.entropy_point]
-    vals += [rec.zalpha, rec.u_min, rec.u_max, rec.k_min, rec.k_max,
-             rec.w_plus, rec.w_minus, rec.rho_plus, rec.rho_minus,
-             rec.soliton_res, rec.dissipation, rec.j1, rec.j2, rec.j3, rec.q]
+    vals = []
+    for name in _RECORD_FIELDS:
+        value = getattr(rec, name)
+        vals += list(value) if name == "entropy_point" else [value]
     return vals
 
 

@@ -314,16 +314,14 @@ def diagnostics(state: FlowState) -> DiagnosticsRecord:
 class RunResult:
     """Sampled trajectory of one run.
 
-    records/samples are aligned; steps counts accepted RK4 steps;
-    limit_point (entropy point of the final body) is filled for
-    unnormalized runs."""
+    records/samples are aligned, and the last record describes the final
+    state unless a step failed; steps counts accepted RK4 steps."""
 
     records: list
     samples: list
     final_state: FlowState
     stop_reason: str
     steps: int = 0
-    limit_point: NDArray | None = None
 
 
 def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
@@ -335,8 +333,8 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
     recentered once, at t = 0, to the entropy point. The run stops early
     when the soliton residual drops below stop_residual (default 1e-8 for n=1, 1e-6 for n=2, normalized
     kind only; pass None to disable) or, for unnormalized runs, when
-    min u reaches u_floor. On StepFailure the partial trajectory is
-    attached to the exception as exc.partial.
+    min u reaches u_floor; both are checked at t = 0 too. On StepFailure
+    the partial trajectory is attached to the exception as exc.partial.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -357,15 +355,14 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
     steps = 0
 
     def finish(st):
-        rr = RunResult(records=records, samples=samples, final_state=st,
-                       stop_reason=stop_reason, steps=steps)
-        if kind == "unnormalized":  # the last record solved it unless a step failed
-            rr.limit_point = (records[-1].entropy_point if samples[-1][1] is st.u
-                              else ge.entropy_point(st.u, alpha).point)
-        return rr
+        return RunResult(records=records, samples=samples, final_state=st,
+                         stop_reason=stop_reason, steps=steps)
 
     if stop_residual is not None and records[0].soliton_res < stop_residual:
         stop_reason = "residual"
+        return finish(state)
+    if kind == "unnormalized" and records[0].u_min <= u_floor:
+        stop_reason = "u_floor"
         return finish(state)
 
     next_sample = sample_every if sample_every is not None else t_end
@@ -400,8 +397,6 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
 class ExtinctionBracket(NamedTuple):
     lower: float
     upper: float
-    tau_stop: float
-    state: FlowState
 
 
 def extinction_bracket(initial: SupportFunction, alpha: float, *,
@@ -414,19 +409,11 @@ def extinction_bracket(initial: SupportFunction, alpha: float, *,
     NonConvergence after MAX_BRACKET_STEPS steps."""
     if not u_stop > 0.0:
         raise ValueError("u_stop must be positive")
-    state = FlowState(kind="unnormalized", alpha=alpha, time=0.0, u=initial)
-    for _ in range(MAX_BRACKET_STEPS):
-        if state.u.values.min() <= u_stop:
-            break
-        state = step(state, 1e9)
-    if state.u.values.min() > u_stop:
-        raise NonConvergence(MAX_BRACKET_STEPS, float(state.u.values.min()))
-    wr = gb.width_radii(state.u)
-    n = initial.dim
-    p = 1.0 + n * alpha
-    return ExtinctionBracket(
-        lower=state.time + wr.rho_minus**p / p,
-        upper=state.time + wr.rho_plus**p / p,
-        tau_stop=state.time,
-        state=state,
-    )
+    rr = run(initial, "unnormalized", alpha, math.inf, stop_residual=None,
+             u_floor=u_stop, max_steps=MAX_BRACKET_STEPS)
+    last = rr.records[-1]
+    if rr.stop_reason != "u_floor":
+        raise NonConvergence(rr.steps, last.u_min)
+    p = 1.0 + initial.dim * alpha
+    return ExtinctionBracket(lower=last.time + last.rho_minus**p / p,
+                             upper=last.time + last.rho_plus**p / p)

@@ -284,13 +284,8 @@ def check_soliton_properties(u: SupportFunction, alpha: float) -> list[CheckRepo
 
 def alpha_grid(dim: int) -> tuple[float, ...]:
     """Exponent grid used by the fuzz suite: -1, 1/(n+2), 1/n, 1/2, 1,
-    2, 5 with duplicates removed."""
-    vals = (-1.0, 1.0 / (dim + 2), 1.0 / dim, 0.5, 1.0, 2.0, 5.0)
-    out = []
-    for v in vals:
-        if not any(abs(v - w) < 1e-12 for w in out):
-            out.append(v)
-    return tuple(out)
+    2, 5 with duplicates removed (1/n equals 1 or 1/2 exactly)."""
+    return tuple(dict.fromkeys((-1.0, 1.0 / (dim + 2), 1.0 / dim, 0.5, 1.0, 2.0, 5.0)))
 
 
 def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:

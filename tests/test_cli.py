@@ -426,6 +426,13 @@ FLAG_RULES = [
     ("make-body", "seed", "-1"),
 ]
 
+# flags whose converter is not a builtin; argparse prints its type name
+CONVERTER_NAMES = [
+    ("make-body", "symmetric", "maybe", "boolean"),
+    ("flow", "sample-every", "abc", "float or 'none'"),
+    ("flow", "stop-residual", "abc", "float, 'default' or 'none'"),
+]
+
 
 class TestFlagRules:
     @pytest.mark.parametrize("sub, flag, value", FLAG_RULES,
@@ -444,6 +451,19 @@ class TestFlagRules:
         out = tmp_path / "out"
         assert main([sub, "--config", str(cfg), "--out-dir", str(out)]) == 3
         assert f"{cfg}:2: argument --{flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub, flag, value, name", CONVERTER_NAMES,
+                             ids=[r[1] for r in CONVERTER_NAMES])
+    def test_converter_has_a_readable_name(self, tmp_path, capsys, sub, flag, value, name):
+        message = f"argument --{flag}: invalid {name} value: {value!r}"
+        out = tmp_path / "out"
+        assert main([sub, f"--{flag}={value}", "--out-dir", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"# one bad value\n{flag} = {value}\n")
+        assert main([sub, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert f"{cfg}:2: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sub, flags", [

@@ -195,7 +195,7 @@ class TestShrinkingCircleOracle:
         assert all(b > a for a, b in zip(times, times[1:]))
         assert res.final_state.rejected_steps == 0
         # limit point of a centered circle is the origin
-        assert np.linalg.norm(res.limit_point) <= 1e-8
+        assert np.linalg.norm(res.records[-1].entropy_point) <= 1e-8
 
     def test_min_curvature_nondecreasing(self):
         u0 = gb.ellipse(circle(16), (1.4, 0.8))
@@ -230,6 +230,17 @@ class TestExtinction:
         monkeypatch.setattr(gf, "MAX_BRACKET_STEPS", 5)
         with pytest.raises(NonConvergence):
             gf.extinction_bracket(gb.ball(circle(16), 1.0), 1.0, u_stop=0.3)
+
+    def test_run_below_floor_takes_no_step(self):
+        res = gf.run(gb.ball(circle(16), 0.2), "unnormalized", 1.0, 1.0, u_floor=0.3)
+        assert res.stop_reason == "u_floor"
+        assert res.steps == 0 and len(res.records) == 1
+
+    def test_bracket_below_u_stop_is_taken_at_t0(self):
+        # a circle of radius R vanishes at R^2/2; both radii are R at t = 0
+        br = gf.extinction_bracket(gb.ball(circle(16), 0.2), 1.0, u_stop=0.3)
+        assert abs(br.lower - 0.2**2 / 2) <= 1e-12
+        assert abs(br.upper - 0.2**2 / 2) <= 1e-12
 
 
 class TestNormalizedEllipse:
@@ -366,7 +377,8 @@ class TestRescaledLimit:
         u = res.final_state.u
         vol = gb.volume(u)
         assert gb.volume(u0) >= 2.0 * vol
-        un = gb.scale(gb.support_about(u, res.limit_point), math.sqrt(np.pi / vol))
+        un = gb.scale(gb.support_about(u, res.records[-1].entropy_point),
+                      math.sqrt(np.pi / vol))
         assert gb.volume(un) == pytest.approx(np.pi, rel=1e-10)
         m = sg.average(un.grid, un.values ** (1.0 - 1.0 / alpha))
         if alpha < 1.0:
@@ -428,5 +440,5 @@ class TestExpanding:
         assert len(res.records) == 5
         assert len(calls) == len(res.records)
         if kind == "unnormalized":
-            assert np.array_equal(res.limit_point,
+            assert np.array_equal(res.records[-1].entropy_point,
                                   real(res.final_state.u, 1.0).point)
