@@ -273,6 +273,7 @@ def _radius_lp(nodes: NDArray, u: NDArray) -> tuple[float, NDArray]:
             raise RadiiNonConvergence(np.nan, np.inf)  # start not dual-feasible
         y = Minv.T @ u[basis]           # level y[0] and center y[1:]
         excess = u - nodes @ y[1:] - y[0]
+        excess[basis] = 0.0             # zero up to rounding; must not re-enter
         j = int(np.argmax(excess))
         if excess[j] <= tol:
             rho = float((u - nodes @ y[1:]).max())

@@ -398,15 +398,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     else:
         rows = [_sweep_one(cfg, *t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
-    out = _out_dir(cfg)
-    path = out / "sweep.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# gaussflow {fileio.__version__} config={config_digest(cfg)}\n")
-        f.write("alpha,seed,steps,stop_reason,residual,hausdorff_to_ball,"
-                "lambda,status\n")
-        for a, s, steps, reason, res, haus, lam, status in rows:
-            f.write(f"{a:.17g},{s},{steps},{reason},{res:.17g},{haus:.17g},"
-                    f"{lam:.17g},{status}\n")
+    path = _out_dir(cfg) / "sweep.csv"
+    fileio.write_sweep(path, rows, config_digest(cfg))
     failed = sum(r[7] != "ok" for r in rows)
     print(f"{len(rows)} runs, {failed} failed, wrote {path}")
     return 2 if failed else 0

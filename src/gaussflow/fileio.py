@@ -30,6 +30,7 @@ __all__ = [
     "write_trajectory",
     "write_checks_csv",
     "write_checks_json",
+    "write_sweep",
     "write_svg",
     "write_obj",
 ]
@@ -123,33 +124,36 @@ def trajectory_columns(dim: int) -> list[str]:
     return [col for name in _RECORD_FIELDS for col in renamed.get(name, [name])]
 
 
-def _record_values(rec) -> list[float]:
-    vals = []
-    for name in _RECORD_FIELDS:
-        value = getattr(rec, name)
-        vals += list(value) if name == "entropy_point" else [value]
-    return vals
+def _write_csv(path, digest: str, columns, rows) -> None:
+    """The one CSV layout: header line, column names, one line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(_header(digest) + "\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
 
 
 def write_trajectory(path, records, dim: int, digest: str = "none") -> None:
-    """Diagnostics CSV: header line, column names, one row per sample."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_header(digest) + "\n")
-        f.write(",".join(trajectory_columns(dim)) + "\n")
-        for rec in records:
-            f.write(",".join(_fmt(v) for v in _record_values(rec)) + "\n")
+    """Diagnostics CSV: one row per sample, the record's fields in order."""
+    _write_csv(path, digest, trajectory_columns(dim),
+               ([_fmt(v) for v in np.hstack([getattr(rec, n) for n in _RECORD_FIELDS])]
+                for rec in records))
 
 
 def write_checks_csv(path, reports, digest: str = "none") -> None:
     """Check reports as CSV; the inputs dict is JSON in the last column."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_header(digest) + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"])
-        for r in reports:
-            w.writerow([r.name, str(r.passed).lower(), _fmt(r.lhs), _fmt(r.rhs),
-                        _fmt(r.slack), _fmt(r.tolerance),
-                        json.dumps(r.inputs, sort_keys=True)])
+    _write_csv(path, digest, ["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"],
+               ([r.name, str(r.passed).lower(), _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack),
+                 _fmt(r.tolerance), json.dumps(r.inputs, sort_keys=True)] for r in reports))
+
+
+def write_sweep(path, rows, digest: str = "none") -> None:
+    """Sweep CSV: one (alpha, seed, steps, stop_reason, residual,
+    hausdorff_to_ball, lambda, status) row per run."""
+    _write_csv(path, digest, ["alpha", "seed", "steps", "stop_reason", "residual",
+                              "hausdorff_to_ball", "lambda", "status"],
+               ([_fmt(a), s, steps, reason, _fmt(res), _fmt(haus), _fmt(lam), status]
+                for a, s, steps, reason, res, haus, lam, status in rows))
 
 
 def write_checks_json(path, reports, digest: str = "none") -> None:
@@ -236,7 +240,7 @@ def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
     base = (nt - 1) * nphi
     faces += [(M + 1, base + (k + 1) % nphi, base + k) for k in range(nphi)]
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# gaussflow {__version__} config={digest}\n")
+        f.write(_header(digest) + "\n")
         for v in np.vstack([X, poles]):
             f.write(f"v {_fmt9(v[0])} {_fmt9(v[1])} {_fmt9(v[2])}\n")
         for a, b, c in faces:

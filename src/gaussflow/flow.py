@@ -84,23 +84,28 @@ class FlowState:
             raise ValueError("alpha must be nonzero")
 
 
-def _velocity(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> NDArray:
+def _velocity(state: FlowState, values: NDArray, f: NDArray,
+              K: NDArray) -> tuple[NDArray, NDArray, float]:
     """du/dt on the nodes, before projection, of the body with support
     values `values`, surface-area density f and curvature K = 1/f under
-    the state's flow; the one formula of `rhs` and the RK4 stages."""
+    the state's flow, with the numerator and denominator of its
+    diffusivity D = num / (lambda_min den); the one formula of `rhs`, the
+    RK4 stages and the step cap."""
     alpha = state.alpha
+    if state.kind == "expanding":
+        if values.min() <= 0.0:
+            raise ValueError("expanding flow needs positive support values")
+        v = values ** (1.0 + 1.0 / alpha) * f
+        return v, v, 1.0
+    Ka = K**alpha
     if state.kind == "unnormalized":
-        return -K**alpha
-    if state.kind == "normalized":
-        eta = sg.average(state.u.grid, K ** (alpha - 1.0))
-        return -K**alpha / eta + values
-    if values.min() <= 0.0:
-        raise ValueError("expanding flow needs positive support values")
-    return values ** (1.0 + 1.0 / alpha) * f
+        return -Ka, abs(alpha) * Ka, 1.0
+    eta = sg.average(state.u.grid, K ** (alpha - 1.0))
+    return -Ka / eta + values, abs(alpha) * Ka, eta
 
 
 def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
-    return sg.project_frame(state.u.grid, _velocity(state, values, f, K))
+    return sg.project_frame(state.u.grid, _velocity(state, values, f, K)[0])
 
 
 def rhs(state: FlowState) -> NDArray:
@@ -109,29 +114,16 @@ def rhs(state: FlowState) -> NDArray:
     return _increment(state, state.u.values, g.f, g.K).values
 
 
-def _stable_dt(state: FlowState) -> float:
-    """RK4 stability cap c_s / (L(L+1) D_max), c_s = SPECTRAL_FACTOR and
-    D_max the largest per-node diffusivity. The stiff part D (Delta + n)
-    reaches -D (L^2 - 1) on the circle at bandlimit L (-D (L(L+1) - 2) on
-    S^2), and RK4 is stable on the negative real axis to |z| = 2.785
-    (Hairer-Norsett-Wanner, Solving ODEs I), so c_s <= 2.785 L/(L-1), 2.96
-    at L = 16. A 1e-6 cos(16 theta) perturbation of the unit circle decays
-    at c_s = 1.5 and grows at 3.2: 1.5 keeps a 1.9x margin."""
-    g = curvature_data(state.u)
-    alpha = state.alpha
-    if state.kind == "expanding":
-        diff = state.u.values ** (1.0 + 1.0 / alpha) * g.f / g.lam_min
-    else:
-        diff = abs(alpha) * g.K**alpha / g.lam_min
-        if state.kind == "normalized":
-            diff = diff / sg.average(state.u.grid, g.K ** (alpha - 1.0))
-    d_max = float(diff.max())
-    L = state.u.grid.bandlimit
-    return SPECTRAL_FACTOR / (L * (L + 1) * d_max)
-
-
 def step(state: FlowState, dt_request: float) -> FlowState:
-    """Advance one RK4 step of size min(dt_request, stability bound).
+    """Advance one RK4 step of size min(dt_request, stability cap).
+
+    The cap is c_s / (L(L+1) D_max), c_s = SPECTRAL_FACTOR, with the largest
+    diffusivity D_max from the evaluation that gives k1. The stiff part
+    D (Delta + n) reaches -D (L^2 - 1) on the circle at bandlimit L
+    (-D (L(L+1) - 2) on S^2), and RK4 is stable on the negative real axis
+    to |z| = 2.785 (Hairer-Norsett-Wanner, Solving ODEs I), so c_s <= 2.785
+    L/(L-1), 2.96 at L = 16. A 1e-6 cos(16 theta) perturbation of the unit
+    circle decays at c_s = 1.5 and grows at 3.2: 1.5 keeps a 1.9x margin.
 
     Any stage that loses uniform convexity or positivity rejects the
     step; dt is halved and the step retried, up to 12 times, after which
@@ -142,8 +134,11 @@ def step(state: FlowState, dt_request: float) -> FlowState:
         raise ValueError("dt_request must be positive")
     u = state.u
     g = curvature_data(u)
-    dt = min(dt_request, _stable_dt(state))
-    k1 = _increment(state, u.values, g.f, g.K)
+    v, num, den = _velocity(state, u.values, g.f, g.K)
+    L = u.grid.bandlimit
+    d_max = float(((num / g.lam_min) / den).max())
+    dt = min(dt_request, SPECTRAL_FACTOR / (L * (L + 1) * d_max))
+    k1 = sg.project_frame(u.grid, v)
 
     def stage(h, k):
         """Increment at u + h k, whose tensor and spectrum are u's plus h
@@ -349,24 +344,22 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
             raise ValueError("normalized runs need volume pre-normalized to the unit ball's")
         u = gb.support_about(u, ge.entropy_point(u, alpha).point)
     state = FlowState(kind=kind, alpha=alpha, time=0.0, u=u)
-    records = [diagnostics(state)]
-    samples = [(0.0, state.u)]
-    stop_reason = "t_end"
-    steps = 0
+    records, samples, steps = [], [], 0
 
-    def finish(st):
-        return RunResult(records=records, samples=samples, final_state=st,
-                         stop_reason=stop_reason, steps=steps)
+    def below_floor(st):
+        return kind == "unnormalized" and st.u.values.min() <= u_floor
 
-    if stop_residual is not None and records[0].soliton_res < stop_residual:
-        stop_reason = "residual"
-        return finish(state)
-    if kind == "unnormalized" and records[0].u_min <= u_floor:
-        stop_reason = "u_floor"
-        return finish(state)
+    def sample(st):
+        """Record st; the stop reason its record calls for, or None."""
+        records.append(diagnostics(st))
+        samples.append((st.time, st.u))
+        if stop_residual is not None and records[-1].soliton_res < stop_residual:
+            return "residual"
+        return "u_floor" if below_floor(st) else None
 
+    stop_reason = sample(state)
     next_sample = sample_every if sample_every is not None else t_end
-    while state.time < t_end - 1e-12:
+    while stop_reason is None and state.time < t_end - 1e-12:
         if max_steps is not None and steps >= max_steps:
             stop_reason = "max_steps"
             break
@@ -374,24 +367,17 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         try:
             state = step(state, target_t - state.time)
         except StepFailure as e:
-            stop_reason = "step_failure"
-            e.partial = finish(state)
+            e.partial = RunResult(records, samples, state, "step_failure", steps)
             raise
         steps += 1
-        if kind == "unnormalized" and state.u.values.min() <= u_floor:
+        if below_floor(state):
             stop_reason = "u_floor"
-            break
-        if state.time >= target_t - 1e-12 and target_t < t_end - 1e-12:
-            records.append(diagnostics(state))
-            samples.append((state.time, state.u))
-            if stop_residual is not None and records[-1].soliton_res < stop_residual:
-                stop_reason = "residual"
-                break
+        elif state.time >= target_t - 1e-12 and target_t < t_end - 1e-12:
+            stop_reason = sample(state)
             next_sample = target_t + (sample_every or t_end)
     if samples[-1][0] < state.time - 1e-15:
-        records.append(diagnostics(state))
-        samples.append((state.time, state.u))
-    return finish(state)
+        sample(state)  # the trailing sample keeps the stop reason found
+    return RunResult(records, samples, state, stop_reason or "t_end", steps)
 
 
 class ExtinctionBracket(NamedTuple):

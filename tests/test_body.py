@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 from test_inequalities import smoothed_triangle
 
 from gaussflow import body as gb
+from gaussflow import entropy as ge
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import main
 from gaussflow.errors import (
@@ -200,13 +201,25 @@ def test_exchange_radii_match_highs_on_fuzz_bodies(dim, L, symmetric):
                                                 centrally_symmetric=symmetric))
 
 
+def recentred_fuzz_body(seed):
+    # a basis node's excess reads above the optimality tolerance on these,
+    # which once made it re-enter: a stall (880115, 882121) or a singular
+    # basis (880042)
+    u = gb.random_body(seed, 2, 32, 0.1)
+    return gb.support_about(u, ge.entropy_point(u, 1.0).point)
+
+
 @pytest.mark.parametrize("make", [
     lambda: gb.ball(sg.build_grid(1, 16)),  # every node active
     lambda: gb.ball(sg.build_grid(2, 8)),
     ellipse_fine,
     lambda: gb.ellipse(sg.build_grid(2, 32), (2.0, 1.0, 0.5)),
     smoothed_triangle,
-], ids=["ball-n1", "ball-n2", "ellipse", "ellipsoid", "smoothed-triangle"])
+    lambda: recentred_fuzz_body(880042),
+    lambda: recentred_fuzz_body(880115),
+    lambda: recentred_fuzz_body(882121),
+], ids=["ball-n1", "ball-n2", "ellipse", "ellipsoid", "smoothed-triangle",
+        "recentred-880042", "recentred-880115", "recentred-882121"])
 def test_exchange_radii_match_highs_on_sharp_bodies(make):
     assert_radii_match_highs(make())
 

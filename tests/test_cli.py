@@ -163,6 +163,17 @@ class TestFlow:
         assert (out / "trajectory.csv").exists()
         assert (out / "body_final.json").exists()
 
+    def test_radius_solve_on_recentred_random_body(self, tmp_path):
+        # the entropy-point recentring once made a radius basis singular,
+        # which surfaced as a usage error (exit 3)
+        p = tmp_path / "r.json"
+        assert main(["make-body", "--shape", "random", "--seed", "880042", "--dim", "2",
+                     "--bandlimit", "32", "--out", str(p)]) == 0
+        rc = main(["flow", "--input", str(p), "--kind", "normalized", "--alpha", "1",
+                   "--t-end", "7e-05", "--sample-every", "1.75e-05",
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 0
+
     def test_missing_input(self, tmp_path):
         rc = main(["flow", "--input", str(tmp_path / "nope.json"),
                    "--alpha", "1", "--out-dir", str(tmp_path)])

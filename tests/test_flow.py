@@ -67,7 +67,7 @@ class TestRhs:
 class TestStep:
     def test_dt_honors_stability_and_request(self):
         st = make_state(gb.ball(circle(), 1.0), "normalized", 1.0)
-        cap = gf._stable_dt(st)
+        cap = 1.5 / (16 * 17)  # unit circle: K = lam_min = eta = 1, so D_max = 1
         assert gf.step(st, 1e9).dt_last == pytest.approx(cap)
         assert gf.step(st, 1e-5).dt_last == pytest.approx(1e-5)
         with pytest.raises(ValueError):
@@ -93,7 +93,7 @@ class TestStep:
     @pytest.mark.parametrize("grid,axes", [(circle(), (1.4, 0.8)),
                                            (sphere(), (1.4, 1.0, 0.8))], ids=["n1", "n2"])
     def test_step_failure_after_twelve_halvings(self, monkeypatch, grid, axes):
-        monkeypatch.setattr(gf, "_stable_dt", lambda state: 1e9)
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 1e12)
         st = make_state(gb.ellipse(grid, axes), "unnormalized", 1.0)
         with pytest.raises(StepFailure) as exc:
             gf.step(st, 1e6)
@@ -158,7 +158,8 @@ class TestStabilityCap:
     def test_cap_scales_with_spectral_radius(self, dim, L, alpha):
         # unit ball: K = lam_min = 1, so D_max = alpha
         st = make_state(gb.ball(sg.build_grid(dim, L), 1.0), "unnormalized", alpha)
-        assert gf._stable_dt(st) == pytest.approx(1.5 / (L * (L + 1) * alpha), rel=1e-10)
+        assert gf.step(st, 1e9).dt_last == pytest.approx(1.5 / (L * (L + 1) * alpha),
+                                                         rel=1e-10)
 
     @staticmethod
     def _top_mode_growth(steps=300):
@@ -340,6 +341,21 @@ class TestStops:
         assert res.final_state.u.values.min() <= 0.3
         assert res.final_state.time < 0.125
 
+    def test_residual_is_checked_before_u_floor(self):
+        res = gf.run(gb.ball(circle(), 0.2), "unnormalized", 1.0, 0.1,
+                     stop_residual=1e-3, u_floor=0.3)
+        assert res.stop_reason == "residual"
+        assert res.steps == 0
+        assert len(res.records) == 1
+
+    def test_residual_stop_at_a_sample_time(self):
+        u0 = gb.normalize_volume(gb.ellipse(circle(16), (1.2, 0.9)))
+        res = gf.run(u0, "normalized", 1.0, 5.0, sample_every=0.05, stop_residual=1e-3)
+        assert res.stop_reason == "residual"
+        assert res.records[-2].soliton_res >= 1e-3 > res.records[-1].soliton_res
+        assert res.records[-1].time == res.final_state.time
+        assert len(res.records) == len(res.samples)
+
     def test_max_steps_stop(self):
         res = gf.run(gb.ball(circle(), 1.0), "unnormalized", 1.0, 0.3,
                      max_steps=5)
@@ -353,7 +369,7 @@ class TestStops:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_failure_attaches_partial(self, monkeypatch):
-        monkeypatch.setattr(gf, "_stable_dt", lambda state: 1e9)
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 1e12)
         u0 = gb.ellipse(circle(), (1.4, 0.8))
         with pytest.raises(StepFailure) as exc:
             gf.run(u0, "unnormalized", 1.0, 1.0)

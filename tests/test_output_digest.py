@@ -1,0 +1,20 @@
+"""Smoke test of tools/output_digest.py: two runs in one work directory
+print the same per-job digests."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def test_two_runs_print_the_same_digests(tmp_path):
+    runs = [subprocess.run([sys.executable, str(TOOL), "--work", str(tmp_path / "work"),
+                            "--seeds", "0"], capture_output=True, text=True, timeout=300)
+            for _ in range(2)]
+    for r in runs:
+        assert r.returncode == 0, r.stderr
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 12 and lines[-1].startswith("total ")
+    assert all(" exit=0 " in line for line in lines[:-1])  # 3 sweep, 4 flow, 4 verify jobs
+    assert runs[1].stdout == runs[0].stdout
