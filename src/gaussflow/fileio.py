@@ -2,8 +2,11 @@
 
 Data files are plain text with a one-line header carrying the tool
 version and the config digest of the producing command. Floats in data
-files use 17 significant digits so a reload reproduces the exact bits;
-geometry exports (SVG, OBJ) use 9, they feed plots rather than further
+files use 17 significant digits so a reload reproduces the exact bits,
+except in the checks.csv `inputs` column: that is json-module text, with
+Python's shortest round-trip repr (1.0 and 0.3333333333333333 where
+checks.json has 1 and 0.33333333333333331), which reloads exactly too.
+Geometry exports (SVG, OBJ) use 9, they feed plots rather than further
 computation. All writers are deterministic: the same inputs give
 byte-identical files.
 """
@@ -14,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,36 +48,35 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _fmt9(x: float) -> str:
-    return f"{float(x):.9g}"
-
-
 def _header(digest: str) -> str:
     return f"# gaussflow {__version__} config={digest}"
 
 
 def _render_json(obj) -> str:
     """Canonical JSON text: sorted keys, floats at 17 significant digits,
-    NaN/Infinity in the json-module dialect."""
+    NaN/Infinity in the json-module dialect. The common cases come first:
+    a finite 1-D float array is one format call."""
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_str(obj)
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isfinite(x):
+            return "%.17g" % x
+        if math.isnan(x):
+            return "NaN"
+        return "Infinity" if x > 0 else "-Infinity"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_json_str(str(k))}: {_render_json(obj[k])}"
+                               for k in sorted(obj, key=str)) + "}"
+    if (type(obj) is np.ndarray and obj.dtype == float and obj.ndim == 1
+            and np.isfinite(obj).all()):
+        return "[" + ("%.17g, " * obj.size % tuple(obj.tolist()))[:-2] + "]"
     if isinstance(obj, bool) or obj is None:
         return {True: "true", False: "false", None: "null"}[obj]
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return _fmt(x)
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_render_json(v)}"
-                               for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -83,9 +86,9 @@ def write_body(path, u: SupportFunction, digest: str = "none") -> None:
         raise ValueError("body contains non-finite values")
     doc = (
         "{\n"
-        f'  "format": {json.dumps(BODY_FORMAT)},\n'
-        f'  "version": {json.dumps(__version__)},\n'
-        f'  "config": {json.dumps(digest)},\n'
+        f'  "format": {_json_str(BODY_FORMAT)},\n'
+        f'  "version": {_json_str(__version__)},\n'
+        f'  "config": {_json_str(digest)},\n'
         f'  "dim": {u.dim},\n'
         f'  "bandlimit": {u.grid.bandlimit},\n'
         f'  "basepoint": {_render_json(u.basepoint)},\n'
@@ -200,17 +203,31 @@ def write_svg(path, curves, digest: str = "none") -> None:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f"<!-- gaussflow {__version__} config={digest} -->",
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt9(vb[0])} {_fmt9(vb[1])} {_fmt9(vb[2])} {_fmt9(vb[3])}">',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">' % vb,
     ]
     for i, c in enumerate(curves):
-        pts = " L ".join(f"{_fmt9(p[0])} {_fmt9(-p[1])}" for p in c)
+        xy = np.column_stack([c[:, 0], -c[:, 1]])
+        pts = ("%.9g %.9g L " * len(c))[:-3] % tuple(xy.ravel().tolist())
         color = _PALETTE[i % len(_PALETTE)]
         lines.append(f'  <path d="M {pts} Z" fill="none" stroke="{color}" '
-                     f'stroke-width="{_fmt9(stroke)}"/>')
+                     f'stroke-width="{stroke:.9g}"/>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def _obj_faces(bandlimit: int) -> str:
+    """Face lines of the OBJ mesh at a bandlimit: a fan about each pole
+    vertex and two triangles per quad between neighbouring rings."""
+    nt, nphi = bandlimit + 1, 2 * bandlimit + 2
+    M = nt * nphi  # index of the first pole vertex
+    ring = np.arange(nt)[:, None] * nphi  # index of each ring's first vertex
+    k, k1 = np.arange(nphi), np.roll(np.arange(nphi), -1)  # k1 = (k + 1) % nphi
+    a, b, c, d = ring[:-1] + k, ring[1:] + k, ring[1:] + k1, ring[:-1] + k1
+    faces = np.vstack([np.column_stack([np.full(nphi, M), k, k1]),
+                       np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3),
+                       np.column_stack([np.full(nphi, M + 1), ring[-1] + k1, ring[-1] + k])]) + 1
+    return "f %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist())
 
 
 def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
@@ -222,26 +239,9 @@ def write_obj(path, u: SupportFunction, digest: str = "none") -> None:
     into triangles."""
     if u.dim != 2:
         raise ValueError("OBJ export needs a 2-sphere body")
-    grid = u.grid
     X = boundary_points(u)
-    poles = np.column_stack([sg.evaluate_at(grid, X[:, i], [0.0, np.pi], [0.0, 0.0])
-                             for i in range(3)])
-    nt = grid.bandlimit + 1
-    nphi = 2 * grid.bandlimit + 2
-    M = nt * nphi
-    faces = [(M, k, (k + 1) % nphi) for k in range(nphi)]
-    for j in range(nt - 1):
-        for k in range(nphi):
-            k1 = (k + 1) % nphi
-            a, b = j * nphi + k, (j + 1) * nphi + k
-            c, d = (j + 1) * nphi + k1, j * nphi + k1
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    base = (nt - 1) * nphi
-    faces += [(M + 1, base + (k + 1) % nphi, base + k) for k in range(nphi)]
+    V = np.vstack([X, sg.evaluate_at(u.grid, X.T, [0.0, np.pi], [0.0, 0.0]).T])
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(_header(digest) + "\n")
-        for v in np.vstack([X, poles]):
-            f.write(f"v {_fmt9(v[0])} {_fmt9(v[1])} {_fmt9(v[2])}\n")
-        for a, b, c in faces:
-            f.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        f.write("v %.9g %.9g %.9g\n" * len(V) % tuple(V.ravel().tolist()))
+        f.write(_obj_faces(u.grid.bandlimit))

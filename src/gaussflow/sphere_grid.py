@@ -499,26 +499,36 @@ def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,
     """Evaluate the bandlimited interpolant of node values at arbitrary angles.
 
     On the sphere `thetas`/`phis` are colatitude/longitude; the poles are
-    admissible (evaluation goes through coefficient space).
+    admissible (evaluation goes through coefficient space). `values` is
+    one field or a (k, nodes) stack of fields; a stack gives one row of
+    results per field and shares the angle tables between them.
     """
-    values = _check_values(grid, values)
+    values = np.asarray(values, dtype=float)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    L, N = grid.bandlimit, grid.node_count
     if grid.dim == 1:
-        L, N = grid.bandlimit, grid.node_count
-        ch = np.fft.rfft(values)
         k = np.arange(1, L + 1)
-        out = np.full(thetas.shape, ch[0].real / N)
         cos_kt = np.cos(np.outer(thetas, k))
         sin_kt = np.sin(np.outer(thetas, k))
-        out += 2.0 / N * (cos_kt @ ch[1: L + 1].real - sin_kt @ ch[1: L + 1].imag)
-        return out
-    if phis is None:
-        raise ValueError("phis required for sphere grids")
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    L = grid.bandlimit
-    # per order m: sum_l P[l,m](theta) (c_{l,m}, c_{l,-m}), then against
-    # (cos m phi, sin m phi), with sqrt(2) for m > 0
-    z = np.einsum("lmp,mlc->cmp", _legendre_tables(L, thetas), _sphere_analysis(grid, values))
-    z[:, 1:] *= np.sqrt(2.0)
-    angle = np.arange(L + 1)[:, None] * phis
-    return (z[0] * np.cos(angle) + z[1] * np.sin(angle)).sum(axis=0)
+
+        def one(field):
+            ch = np.fft.rfft(field)
+            out = np.full(thetas.shape, ch[0].real / N)
+            out += 2.0 / N * (cos_kt @ ch[1: L + 1].real - sin_kt @ ch[1: L + 1].imag)
+            return out
+    else:
+        if phis is None:
+            raise ValueError("phis required for sphere grids")
+        phis = np.atleast_1d(np.asarray(phis, dtype=float))
+        P = _legendre_tables(L, thetas)
+        angle = np.arange(L + 1)[:, None] * phis
+        cos_m, sin_m = np.cos(angle), np.sin(angle)
+
+        def one(field):
+            # per order m: sum_l P[l,m](theta) (c_{l,m}, c_{l,-m}), then against
+            # (cos m phi, sin m phi), with sqrt(2) for m > 0
+            z = np.einsum("lmp,mlc->cmp", P, _sphere_analysis(grid, field))
+            z[:, 1:] *= np.sqrt(2.0)
+            return (z[0] * cos_m + z[1] * sin_m).sum(axis=0)
+    rows = [one(_check_values(grid, field)) for field in np.atleast_2d(values)]
+    return np.array(rows) if values.ndim == 2 else rows[0]

@@ -1,6 +1,7 @@
 """Round trips and determinism of the file formats."""
 
 import csv
+import io
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gaussflow import __version__
 from gaussflow import body as gb
 from gaussflow import fileio
 from gaussflow import flow as gf
@@ -215,3 +217,192 @@ class TestGeometry:
     def test_obj_needs_n2(self, tmp_path):
         with pytest.raises(ValueError, match="2-sphere"):
             fileio.write_obj(tmp_path / "x.obj", gb.ball(sg.build_grid(1, 8)))
+
+
+# Reference writers: the one-value-per-call renderers the formats were
+# first written with. The writers must give their bytes exactly.
+
+def ref_fmt(x):
+    return f"{float(x):.17g}"
+
+
+def ref_fmt9(x):
+    return f"{float(x):.9g}"
+
+
+def ref_render_json(obj):
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, bool) or obj is None:
+        return {True: "true", False: "false", None: "null"}[obj]
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return ref_fmt(x)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(ref_render_json(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {ref_render_json(v)}"
+                               for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ref_body_text(u, digest):
+    return ("{\n"
+            f'  "format": {json.dumps("gaussflow-body")},\n'
+            f'  "version": {json.dumps(__version__)},\n'
+            f'  "config": {json.dumps(digest)},\n'
+            f'  "dim": {u.dim},\n'
+            f'  "bandlimit": {u.grid.bandlimit},\n'
+            f'  "basepoint": {ref_render_json(u.basepoint)},\n'
+            f'  "values": {ref_render_json(u.values)}\n'
+            "}\n")
+
+
+def ref_obj_text(u, digest):
+    grid = u.grid
+    X = gb.boundary_points(u)
+    poles = np.column_stack([sg.evaluate_at(grid, X[:, i], [0.0, np.pi], [0.0, 0.0])
+                             for i in range(3)])
+    nt = grid.bandlimit + 1
+    nphi = 2 * grid.bandlimit + 2
+    M = nt * nphi
+    faces = [(M, k, (k + 1) % nphi) for k in range(nphi)]
+    for j in range(nt - 1):
+        for k in range(nphi):
+            k1 = (k + 1) % nphi
+            a, b = j * nphi + k, (j + 1) * nphi + k
+            c, d = (j + 1) * nphi + k1, j * nphi + k1
+            faces.append((a, b, c))
+            faces.append((a, c, d))
+    base = (nt - 1) * nphi
+    faces += [(M + 1, base + (k + 1) % nphi, base + k) for k in range(nphi)]
+    lines = [f"# gaussflow {__version__} config={digest}"]
+    lines += [f"v {ref_fmt9(v[0])} {ref_fmt9(v[1])} {ref_fmt9(v[2])}"
+              for v in np.vstack([X, poles])]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+    return "\n".join(lines) + "\n"
+
+
+def ref_svg_text(curves, digest):
+    curves = [np.asarray(c, dtype=float) for c in curves]
+    allpts = np.vstack(curves)
+    lo = allpts.min(axis=0)
+    hi = allpts.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
+    pad = 0.05 * span
+    vb = (lo[0] - pad, -hi[1] - pad, (hi[0] - lo[0]) + 2 * pad,
+          (hi[1] - lo[1]) + 2 * pad)
+    stroke = 0.004 * span
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f"<!-- gaussflow {__version__} config={digest} -->",
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{ref_fmt9(vb[0])} {ref_fmt9(vb[1])} {ref_fmt9(vb[2])} {ref_fmt9(vb[3])}">',
+    ]
+    for i, c in enumerate(curves):
+        pts = " L ".join(f"{ref_fmt9(p[0])} {ref_fmt9(-p[1])}" for p in c)
+        color = fileio._PALETTE[i % len(fileio._PALETTE)]
+        lines.append(f'  <path d="M {pts} Z" fill="none" stroke="{color}" '
+                     f'stroke-width="{ref_fmt9(stroke)}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def ref_checks_csv_text(reports, digest):
+    f = io.StringIO()
+    f.write(f"# gaussflow {__version__} config={digest}\n")
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"])
+    w.writerows([r.name, str(r.passed).lower(), ref_fmt(r.lhs), ref_fmt(r.rhs),
+                 ref_fmt(r.slack), ref_fmt(r.tolerance), json.dumps(r.inputs, sort_keys=True)]
+                for r in reports)
+    return f.getvalue()
+
+
+N2_BODIES = {
+    "ball": lambda L: gb.ball(sg.build_grid(2, L)),
+    "ellipsoid": lambda L: gb.ellipse(sg.build_grid(2, L), (1.2, 0.9, 0.93)),
+    "random0": lambda L: gb.random_body(0, 2, L, 0.1),
+    "random1": lambda L: gb.random_body(1, 2, L, 0.1),
+}
+
+
+def edge_reports():
+    """Reports holding every kind of value a checks file can carry."""
+    nested = {"alpha": 1.0 / 3.0, "pair": (1, 2.5), "flag": False, "none": None,
+              "tiny": 5e-324, "big": 1e308, "neg_zero": -0.0, "inner": {"alpha": 2.0}}
+    return [
+        CheckReport(name="edge \"quoted\" \u00e9", inputs={"alpha": 0.25, "nested": nested,
+                                                           "z": ["1e-05", "-0"]},
+                    lhs=math.nan, rhs=math.inf, slack=-math.inf, tolerance=-0.0, passed=False),
+        CheckReport(name="scalars (reported)", inputs={"alpha": np.float64(0.1), "seed": 7,
+                                                      "b": True},
+                    lhs=np.float64(1.0 / 7.0), rhs=5e-324, slack=1e308, tolerance=1e-8,
+                    passed=True),
+        CheckReport(name="check-error", inputs={}, lhs=np.float64(math.nan), rhs=1.0,
+                    slack=np.float64(-math.inf), tolerance=0.0, passed=False),
+    ]
+
+
+class TestAgainstReferenceWriters:
+    """Each writer gives the bytes of its one-value-per-call reference."""
+
+    @pytest.mark.parametrize("name", N2_BODIES)
+    def test_obj(self, tmp_path, name):
+        # alternate bandlimits so that face text cached under the wrong
+        # bandlimit would show
+        for L in (32, 8, 32):
+            u = N2_BODIES[name](L)
+            p = tmp_path / f"{L}.obj"
+            fileio.write_obj(p, u, "0b0b")
+            assert p.read_bytes() == ref_obj_text(u, "0b0b").encode()
+
+    @pytest.mark.parametrize("name", N2_BODIES)
+    def test_body(self, tmp_path, name):
+        for L in (8, 32):
+            u = N2_BODIES[name](L)
+            p = tmp_path / f"{L}.json"
+            fileio.write_body(p, u, "cafe")
+            assert p.read_bytes() == ref_body_text(u, "cafe").encode()
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 1.0, 0.1, 1.0 / 3.0,
+        np.float64(-0.0), np.float64(math.nan), np.float32(0.1), np.int64(-4), True, None,
+        7, "caf\u00e9 \"x\"\n", (1, 2.5, "a"), [], np.array([]), np.array([1.5, -0.0, 5e-324]),
+        np.array([1.0, math.nan, -math.inf]), np.arange(4), np.eye(2), np.float32([0.1, 2.0]),
+        {"b": 1, "a": [np.float64(2.0), {"alpha": 0.5}], 2: np.int64(3), "10": -0.0},
+    ], ids=repr)
+    def test_render_json(self, value):
+        assert fileio._render_json(value) == ref_render_json(value)
+
+    def test_checks_json(self, tmp_path):
+        reports = edge_reports() + sample_reports()
+        p = tmp_path / "c.json"
+        fileio.write_checks_json(p, reports, "beef")
+        doc = {"format": "gaussflow-checks", "version": __version__, "config": "beef",
+               "passed": False, "checks": 5, "failures": 2,
+               "reports": [{"name": r.name, "inputs": r.inputs, "lhs": r.lhs, "rhs": r.rhs,
+                            "slack": r.slack, "tolerance": r.tolerance, "passed": r.passed}
+                           for r in reports]}
+        assert p.read_bytes() == (ref_render_json(doc) + "\n").encode()
+
+    def test_checks_csv(self, tmp_path):
+        reports = edge_reports() + sample_reports()
+        p = tmp_path / "c.csv"
+        fileio.write_checks_csv(p, reports, "beef")
+        assert p.read_bytes() == ref_checks_csv_text(reports, "beef").encode()
+
+    def test_svg(self, tmp_path):
+        u = gb.random_body(2, 1, 16, 0.1)
+        curves = [gb.boundary_points(u), gb.boundary_points(gb.scale(u, 0.5)),
+                  np.array([[0.0, -0.0], [1e-300, 5e-324]])]
+        p = tmp_path / "c.svg"
+        fileio.write_svg(p, curves, "feed")
+        assert p.read_bytes() == ref_svg_text(curves, "feed").encode()

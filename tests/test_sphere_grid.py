@@ -217,6 +217,19 @@ def test_evaluate_at_poles_is_finite():
     assert_allclose(vals, v2, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 32)])
+def test_evaluate_at_stack_is_rowwise(dim, L):
+    """A stack of fields gives, row for row, the bits of one call per field."""
+    grid = sg.build_grid(dim, L)
+    fields = np.array([random_field(grid, seed=s) for s in (1, 2, 3)])
+    thetas = np.array([0.0, 0.4, 2.0, np.pi])
+    phis = np.array([0.0, 1.0, 5.5, 0.0])
+    stack = sg.evaluate_at(grid, fields, thetas, phis)
+    assert stack.shape == (3, 4)
+    for row, field in zip(stack, fields):
+        np.testing.assert_array_equal(row, sg.evaluate_at(grid, field, thetas, phis))
+
+
 def test_build_grid_is_cached():
     assert sg.build_grid(1, 8) is sg.build_grid(1, 8)
 
