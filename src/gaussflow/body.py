@@ -9,13 +9,15 @@ the surface-area measure density and K = 1/f the Gauss curvature.
 
 Uniform convexity (lambda_min(A) > 0 at every node) is enforced eagerly:
 constructing a SupportFunction computes the curvature data once, caches
-it, and raises ConvexityLost if A is not positive definite. `scale`
-dilates a body by scaling that cached data, without a new build.
+it, and raises ConvexityLost if A is not positive definite. A body can
+also be made from values plus curvature data already in hand
+(`with_geometry`), without a transform: `scale` dilates a body by
+scaling its cached data, and a flow step advances the cached data by its
+stages' increments, which it checks as a build would.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +53,7 @@ __all__ = [
     "ellipse",
     "normalize_volume",
     "scale",
+    "with_geometry",
 ]
 
 
@@ -63,7 +66,10 @@ class BodyGeometry:
     the smallest eigenvalue of A. The tangential gradient of u is kept
     for boundary-point reconstruction, and the spectrum of u (see
     `sphere_grid.FrameDerivatives`) so that a flow stage u + h k can check
-    its resolution without a transform of its own.
+    its resolution without a transform of its own. A, gradient and
+    spectrum are linear in u: a flow step gives its new body these three
+    as the old body's plus the step's combined increments
+    (`sphere_grid.ProjectedFrame`), with f, K and lam_min from that A.
     """
 
     A: NDArray
@@ -92,7 +98,7 @@ def curvature_invariants(A: NDArray) -> tuple[NDArray, NDArray]:
         a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
         f = a * c - b * b
         lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    i = int(np.argmin(lam))
+    i = int(lam.argmin())
     if lam[i] <= 0.0:
         raise ConvexityLost(i, lam[i])
     return f, lam
@@ -151,6 +157,21 @@ def support_about(u: SupportFunction, z: NDArray) -> SupportFunction:
     return SupportFunction(u.grid, u.values - u.grid.nodes @ z, u.basepoint + z)
 
 
+def with_geometry(u: SupportFunction, values: NDArray,
+                  geometry: BodyGeometry) -> SupportFunction:
+    """The body on u's grid and basepoint with these support values and
+    curvature data, made without a transform and without a check: the
+    caller answers for `geometry` being the data of `values` (a dilate in
+    `scale`, a checked RK4 combination in `flow.step`). Takes ownership
+    of `values`, which it makes read-only."""
+    values.setflags(write=False)
+    out = object.__new__(SupportFunction)  # skips __post_init__
+    for name, value in (("grid", u.grid), ("values", values),
+                        ("basepoint", u.basepoint), ("_geometry", geometry)):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def scale(u: SupportFunction, s: float) -> SupportFunction:
     """Dilate the body by s > 0 about its current basepoint.
 
@@ -162,14 +183,9 @@ def scale(u: SupportFunction, s: float) -> SupportFunction:
         raise ValueError("scale factor must be positive")
     g = curvature_data(u)
     sn = s**u.dim
-    values = s * u.values
-    values.setflags(write=False)
-    out = copy.copy(u)  # shares grid and basepoint; skips __post_init__
-    object.__setattr__(out, "values", values)
-    object.__setattr__(out, "_geometry", BodyGeometry(
+    return with_geometry(u, s * u.values, BodyGeometry(
         A=s * g.A, f=sn * g.f, K=g.K / sn, lam_min=s * g.lam_min,
         gradient=s * g.gradient, spectrum=s * g.spectrum))
-    return out
 
 
 def volume(u: SupportFunction) -> float:

@@ -13,7 +13,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -42,10 +41,8 @@ __all__ = [
 BODY_FORMAT = "gaussflow-body"
 CHECKS_FORMAT = "gaussflow-checks"
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+# json.dumps(obj, sort_keys=True) without a new encoder per call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _header(digest: str) -> str:
@@ -127,36 +124,51 @@ def trajectory_columns(dim: int) -> list[str]:
     return [col for name in _RECORD_FIELDS for col in renamed.get(name, [name])]
 
 
-def _write_csv(path, digest: str, columns, rows) -> None:
-    """The one CSV layout: header line, column names, one line per row."""
+def _csv_text(text: str) -> str:
+    """A text field as csv.writer's QUOTE_MINIMAL writes it with a comma
+    delimiter and a newline terminator: quoted, with doubled quotes, when
+    it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path, digest: str, columns, rows: str) -> None:
+    """The one CSV layout: header line, column names, then the rows' lines,
+    which each writer renders with one format call (%.17g for floats, text
+    through `_csv_text`)."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_header(digest) + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
+        f.write(_header(digest) + "\n" + ",".join(columns) + "\n" + rows)
 
 
 def write_trajectory(path, records, dim: int, digest: str = "none") -> None:
     """Diagnostics CSV: one row per sample, the record's fields in order."""
-    _write_csv(path, digest, trajectory_columns(dim),
-               ([_fmt(v) for v in np.hstack([getattr(rec, n) for n in _RECORD_FIELDS])]
-                for rec in records))
+    columns = trajectory_columns(dim)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    fields = [v for rec in records
+              for v in np.hstack([getattr(rec, n) for n in _RECORD_FIELDS]).tolist()]
+    _write_csv(path, digest, columns, row * len(records) % tuple(fields))
 
 
 def write_checks_csv(path, reports, digest: str = "none") -> None:
     """Check reports as CSV; the inputs dict is JSON in the last column."""
+    fields = []
+    for r in reports:
+        fields += (_csv_text(r.name), str(r.passed).lower(), r.lhs, r.rhs, r.slack,
+                   r.tolerance, _csv_text(_sorted_json(r.inputs)))
     _write_csv(path, digest, ["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"],
-               ([r.name, str(r.passed).lower(), _fmt(r.lhs), _fmt(r.rhs), _fmt(r.slack),
-                 _fmt(r.tolerance), json.dumps(r.inputs, sort_keys=True)] for r in reports))
+               "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\n" * len(reports) % tuple(fields))
 
 
 def write_sweep(path, rows, digest: str = "none") -> None:
     """Sweep CSV: one (alpha, seed, steps, stop_reason, residual,
     hausdorff_to_ball, lambda, status) row per run."""
+    fields = []
+    for a, s, steps, reason, res, haus, lam, status in rows:
+        fields += (a, s, steps, _csv_text(reason), res, haus, lam, _csv_text(status))
     _write_csv(path, digest, ["alpha", "seed", "steps", "stop_reason", "residual",
                               "hausdorff_to_ball", "lambda", "status"],
-               ([_fmt(a), s, steps, reason, _fmt(res), _fmt(haus), _fmt(lam), status]
-                for a, s, steps, reason, res, haus, lam, status in rows))
+               "%.17g,%s,%s,%s,%.17g,%.17g,%.17g,%s\n" * len(rows) % tuple(fields))
 
 
 def write_checks_json(path, reports, digest: str = "none") -> None:

@@ -10,16 +10,19 @@ body:
 
 Stepping is classic RK4 with the spectral stability cap
 dt <= 1.5 / (L(L+1) D_max) (bandlimit L, largest diffusivity D_max) and
-step rejection (halving, up to 12 times) whenever a stage loses uniform
-convexity or positivity. A stage is the accepted body u plus h times a
-projected increment k, so its curvature tensor and spectrum are u's
-cached ones plus h times k's, which one analysis and one synthesis of
-du give (`sphere_grid.project_frame`); it is checked like a body build
-(lambda_min > 0, u > 0, spectral tail) but builds no SupportFunction.
-The accepted body is the one validated build per step. Normalized
-states are then rescaled to the unit-ball volume by `body.scale`, which
-scales the cached geometry; the accumulated |log rescale| is kept as an
-accuracy diagnostic.
+step rejection (halving, up to 12 times) whenever a stage or the
+accepted body loses uniform convexity or positivity. A stage is the
+accepted body u plus h times a projected increment k, so its curvature
+tensor and spectrum are u's cached ones plus h times k's, which one
+analysis and one synthesis of du give (`sphere_grid.project_frame`); it
+is checked like a body build (spectral tail, lambda_min > 0, u > 0) but
+builds no SupportFunction. The accepted body u + dt/6 (k1 + 2 k2 + 2 k3
++ k4) is made the same way: its tensor, gradient and spectrum are u's
+advanced by the stages' combined increments, checked in the same order,
+so a step advances the cached geometry instead of rebuilding it and
+transforms no body. Normalized states are then rescaled to the
+unit-ball volume by `body.scale`, which scales the cached geometry; the
+accumulated |log rescale| is kept as an accuracy diagnostic.
 
 Per-sample diagnostics cover the entropy (about the moving entropy point
 and about the origin), the curvature power mean, widths and radii, the
@@ -85,23 +88,23 @@ class FlowState:
 
 
 def _velocity(state: FlowState, values: NDArray, f: NDArray,
-              K: NDArray) -> tuple[NDArray, NDArray, float]:
+              K: NDArray) -> tuple[NDArray, float, NDArray, float]:
     """du/dt on the nodes, before projection, of the body with support
     values `values`, surface-area density f and curvature K = 1/f under
-    the state's flow, with the numerator and denominator of its
-    diffusivity D = num / (lambda_min den); the one formula of `rhs`, the
-    RK4 stages and the step cap."""
+    the state's flow, with the factors c, w and the denominator den of
+    its diffusivity D = c w / (lambda_min den); the one formula of `rhs`,
+    the RK4 stages and the step cap. Only the cap multiplies out c w."""
     alpha = state.alpha
     if state.kind == "expanding":
         if values.min() <= 0.0:
             raise ValueError("expanding flow needs positive support values")
         v = values ** (1.0 + 1.0 / alpha) * f
-        return v, v, 1.0
+        return v, 1.0, v, 1.0
     Ka = K**alpha
     if state.kind == "unnormalized":
-        return -Ka, abs(alpha) * Ka, 1.0
+        return -Ka, abs(alpha), Ka, 1.0
     eta = sg.average(state.u.grid, K ** (alpha - 1.0))
-    return -Ka / eta + values, abs(alpha) * Ka, eta
+    return -Ka / eta + values, abs(alpha), Ka, eta
 
 
 def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
@@ -125,28 +128,40 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     L/(L-1), 2.96 at L = 16. A 1e-6 cos(16 theta) perturbation of the unit
     circle decays at c_s = 1.5 and grows at 3.2: 1.5 keeps a 1.9x margin.
 
-    Any stage that loses uniform convexity or positivity rejects the
-    step; dt is halved and the step retried, up to 12 times, after which
-    StepFailure reports the offending node. A dt that cannot advance
-    the clock raises StepFailure at once.
+    Any stage, or the accepted body, that loses uniform convexity or
+    positivity rejects the step; dt is halved and the step retried, up
+    to 12 times, after which StepFailure reports the offending node. A
+    dt that cannot advance the clock raises StepFailure at once.
+
+    The accepted body takes no transform: A, gradient and spectrum are
+    linear in u, so they are u's cached ones plus dt/6 times those of
+    the increments' sum k1 + 2 k2 + 2 k3 + k4, checked like a stage and
+    attached by `body.with_geometry`.
     """
     if dt_request <= 0.0:
         raise ValueError("dt_request must be positive")
     u = state.u
     g = curvature_data(u)
-    v, num, den = _velocity(state, u.values, g.f, g.K)
+    v, c, w, den = _velocity(state, u.values, g.f, g.K)
     L = u.grid.bandlimit
-    d_max = float(((num / g.lam_min) / den).max())
+    d_max = float(((c * w / g.lam_min) / den).max())
     dt = min(dt_request, SPECTRAL_FACTOR / (L * (L + 1) * d_max))
     k1 = sg.project_frame(u.grid, v)
 
-    def stage(h, k):
-        """Increment at u + h k, whose tensor and spectrum are u's plus h
-        times k's; checked in the order a SupportFunction build checks."""
+    def advance(h, k):
+        """Values, curvature tensor, f, lambda_min and spectrum of u + h k,
+        the tensor and spectrum u's plus h times k's; checked in the
+        order a SupportFunction build checks, then for u > 0."""
         values = u.values + h * k.values
-        sg.warn_if_marginal(u.grid, g.spectrum + h * k.spectrum)
-        f, _ = gb.curvature_invariants(g.A + h * gb.curvature_tensor(k.hessian, k.values))
+        spectrum = g.spectrum + h * k.spectrum
+        sg.warn_if_marginal(u.grid, spectrum)
+        A = g.A + h * gb.curvature_tensor(k.hessian, k.values)
+        f, lam = gb.curvature_invariants(A)
         _check_positive(values)
+        return values, A, f, lam, spectrum
+
+    def stage(h, k):
+        values, _, f, _, _ = advance(h, k)
         return _increment(state, values, f, 1.0 / f)
 
     rejections = 0
@@ -157,15 +172,18 @@ def step(state: FlowState, dt_request: float) -> FlowState:
             k2 = stage(0.5 * dt, k1)
             k3 = stage(0.5 * dt, k2)
             k4 = stage(dt, k3)
-            k = k1.values + 2.0 * k2.values + 2.0 * k3.values + k4.values
-            u_new = SupportFunction(u.grid, u.values + dt / 6.0 * k, u.basepoint)
-            _check_positive(u_new.values)
+            k = sg.ProjectedFrame(*(x1 + 2.0 * x2 + 2.0 * x3 + x4
+                                    for x1, x2, x3, x4 in zip(k1, k2, k3, k4)))
+            values, A, f, lam, spectrum = advance(dt / 6.0, k)
             break
         except (ConvexityLost, _PositivityLost) as e:
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailure(getattr(e, "node", None), dt, rejections - 1) from None
             dt *= 0.5
+    u_new = gb.with_geometry(u, values, gb.BodyGeometry(
+        A=A, f=f, K=1.0 / f, lam_min=lam, gradient=g.gradient + dt / 6.0 * k.gradient,
+        spectrum=spectrum))
     rescale = state.cumulative_rescale
     if state.kind == "normalized":
         target = sg.ball_volume(u.dim)
@@ -189,7 +207,7 @@ class _PositivityLost(Exception):
 
 
 def _check_positive(values: NDArray) -> None:
-    i = int(np.argmin(values))
+    i = int(values.argmin())
     if values[i] <= 0.0:
         raise _PositivityLost(i)
 

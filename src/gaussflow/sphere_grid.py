@@ -124,8 +124,8 @@ class SphereGrid:
     quadrature weights folded into an analysis copy of P (4 (L+1)^3
     numbers). All arrays of the L = 32 grid take about 1.4 MB. The
     circle keeps cos/sin(k theta), k <= L, at its 4L nodes for
-    `project_frame`: one analysis table and one synthesis table of value
-    and second derivative (3 (2L+2) 4L numbers, 52 kB at L = 16).
+    `project_frame`: one analysis table and one synthesis table of value,
+    first and second derivative (4 (2L+2) 4L numbers, 70 kB at L = 16).
 
     Use :func:`build_grid` rather than the constructor; grids are cached.
     """
@@ -160,12 +160,12 @@ class SphereGrid:
         self.degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
         # one ring of the Fourier stage, signed like rfft: columns 2k + 0/1
         # of _ring_dft give Re and Im of rfft(u)[k]; _circle_synthesis turns
-        # those into the value (first N columns) and second derivative of
-        # the projection (weights 1/N for k = 0, 2/N above)
+        # those into the value (first N columns), first and second
+        # derivative of the projection (weights 1/N for k = 0, 2/N above)
         idft = _fourier_tables(L, theta) * np.tile([1.0, -1.0], L + 1)[:, None]
         self._ring_dft = idft[0].T.copy()
         weight = np.repeat(np.where(np.arange(L + 1) > 0, 2.0, 1.0) / N, 2)[:, None]
-        self._circle_synthesis = np.hstack([idft[0], idft[2]]) * weight
+        self._circle_synthesis = np.hstack(list(idft)) * weight
 
     def _init_sphere(self, L: int) -> None:
         nt, nphi = L + 1, 2 * L + 2
@@ -401,10 +401,14 @@ class FrameDerivatives(NamedTuple):
 
 class ProjectedFrame(NamedTuple):
     """Projection of a field onto the bandlimit (`project_frame`): node
-    values, frame Hessian and spectrum (layout of FrameDerivatives)."""
+    values, frame Hessian, gradient and spectrum (layout of
+    FrameDerivatives). All four are linear in the field, so a flow step
+    advances a body's cached geometry by adding them up instead of
+    transforming the new values."""
 
     values: NDArray
     hessian: NDArray
+    gradient: NDArray
     spectrum: NDArray
 
 
@@ -414,6 +418,10 @@ def warn_if_marginal(grid: SphereGrid, spectrum: NDArray) -> None:
     (layout of FrameDerivatives.spectrum)."""
     if _tail_fraction(spectrum, grid.bandlimit) > TAIL_WARN_THRESHOLD:
         warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
+
+
+def _sphere_gradient(grid: SphereGrid, u_t, u_p) -> NDArray:
+    return np.stack([u_t, u_p * grid._inv_sin], axis=1)
 
 
 def _sphere_hessian(grid: SphereGrid, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
@@ -462,18 +470,20 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     spectrum = pairs.swapaxes(0, 1)
     warn_if_marginal(grid, spectrum)
     u_t, u_p, u_tt, u_tp, u_pp = _sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES)
-    grad = np.stack([u_t, u_p * grid._inv_sin], axis=1)
-    return FrameDerivatives(_sphere_hessian(grid, u_t, u_p, u_tt, u_tp, u_pp), grad, spectrum)
+    return FrameDerivatives(_sphere_hessian(grid, u_t, u_p, u_tt, u_tp, u_pp),
+                            _sphere_gradient(grid, u_t, u_p), spectrum)
 
 
 def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
-    """Projection of node values onto the bandlimit, with its frame Hessian
-    and spectrum, from one analysis and one synthesis.
+    """Projection of node values onto the bandlimit, with its frame
+    Hessian, gradient and spectrum, from one analysis and one synthesis.
 
     Equals `project` followed by `frame_hessian` up to rounding, without
     the tail check: a projection has no energy above the bandlimit. On the
     circle both transforms are matmuls against the cos/sin tables of the
-    retained frequencies (see the module docstring).
+    retained frequencies (see the module docstring); the gradient is one
+    more block of the synthesis table. On the sphere it comes from the
+    u_t and u_p rows that the Hessian reads.
     """
     values = _check_values(grid, values)
     if grid.dim == 1:
@@ -488,10 +498,12 @@ def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
         spectrum = np.zeros((2 * L + 1, 2))
         spectrum[: L + 1] = sums.reshape(L + 1, 2)
         spectrum[0, 0] += M * shift
-        return ProjectedFrame(rows[:M] + shift, rows[M:].reshape(M, 1, 1), spectrum)
+        return ProjectedFrame(rows[:M] + shift, rows[2 * M:].reshape(M, 1, 1),
+                              rows[M: 2 * M].reshape(M, 1), spectrum)
     pairs = _sphere_analysis(grid, values)
     rows = _sphere_synthesis(grid, pairs, _VALUE_AND_FRAME)
-    return ProjectedFrame(rows[0], _sphere_hessian(grid, *rows[1:]), pairs.swapaxes(0, 1))
+    return ProjectedFrame(rows[0], _sphere_hessian(grid, *rows[1:]),
+                          _sphere_gradient(grid, *rows[1:3]), pairs.swapaxes(0, 1))
 
 
 def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,

@@ -1,6 +1,7 @@
 """Round trips and determinism of the file formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -326,6 +327,28 @@ def ref_checks_csv_text(reports, digest):
     return f.getvalue()
 
 
+def ref_trajectory_text(records, dim, digest):
+    f = io.StringIO()
+    f.write(f"# gaussflow {__version__} config={digest}\n")
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(fileio.trajectory_columns(dim))
+    fields = [fld.name for fld in dataclasses.fields(gf.DiagnosticsRecord)]
+    w.writerows([ref_fmt(v) for v in np.hstack([getattr(rec, n) for n in fields])]
+                for rec in records)
+    return f.getvalue()
+
+
+def ref_sweep_text(rows, digest):
+    f = io.StringIO()
+    f.write(f"# gaussflow {__version__} config={digest}\n")
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(["alpha", "seed", "steps", "stop_reason", "residual",
+                "hausdorff_to_ball", "lambda", "status"])
+    w.writerows([ref_fmt(a), s, steps, reason, ref_fmt(res), ref_fmt(haus), ref_fmt(lam), status]
+                for a, s, steps, reason, res, haus, lam, status in rows)
+    return f.getvalue()
+
+
 N2_BODIES = {
     "ball": lambda L: gb.ball(sg.build_grid(2, L)),
     "ellipsoid": lambda L: gb.ellipse(sg.build_grid(2, L), (1.2, 0.9, 0.93)),
@@ -398,6 +421,48 @@ class TestAgainstReferenceWriters:
         p = tmp_path / "c.csv"
         fileio.write_checks_csv(p, reports, "beef")
         assert p.read_bytes() == ref_checks_csv_text(reports, "beef").encode()
+
+    def test_checks_csv_quotes_like_csv_writer(self, tmp_path):
+        reports = [
+            CheckReport(name='rows, "quoted"', inputs={"note": 'a, "b"', "alpha": 0.5},
+                        lhs=math.nan, rhs=math.inf, slack=-math.inf, tolerance=1e-8,
+                        passed=False),
+            CheckReport(name="two\nlines", inputs={"s": "\r\n,"}, lhs=-0.0, rhs=5e-324,
+                        slack=np.float64(1e308), tolerance=0.0, passed=np.True_),
+            CheckReport(name="", inputs={}, lhs=1, rhs=np.float32(0.1), slack=-1.5,
+                        tolerance=1e-8, passed=True),
+        ]
+        p = tmp_path / "c.csv"
+        fileio.write_checks_csv(p, reports, "beef")
+        assert p.read_bytes() == ref_checks_csv_text(reports, "beef").encode()
+        fileio.write_checks_csv(p, [], "beef")
+        assert p.read_bytes() == ref_checks_csv_text([], "beef").encode()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_trajectory(self, tmp_path, dim):
+        u0 = gb.ellipse(sg.build_grid(dim, 16 if dim == 1 else 8),
+                        (1.3, 0.8) if dim == 1 else (1.2, 0.9, 0.93))
+        records = gf.run(u0, "expanding", 1.0, 0.02, 0.01).records
+        edge = dataclasses.replace(records[-1], volume=math.nan, entropy=math.inf,
+                                   entropy_origin=-math.inf, u_min=-0.0, u_max=5e-324,
+                                   k_max=1e308, entropy_point=np.full(dim + 1, math.nan))
+        records = records + [edge]
+        p = tmp_path / "t.csv"
+        fileio.write_trajectory(p, records, dim, "d00d")
+        assert p.read_bytes() == ref_trajectory_text(records, dim, "d00d").encode()
+        fileio.write_trajectory(p, [], dim, "d00d")
+        assert p.read_bytes() == ref_trajectory_text([], dim, "d00d").encode()
+
+    def test_sweep(self, tmp_path):
+        rows = [(0.5, 3, 48, "residual", 1e-9, 4.2e-3, 1.0 / 3.0, "ok"),
+                (1.0, 4, 0, "failed", math.nan, math.nan, math.nan, "failed:StepFailure"),
+                (2.0, 5, 186, "t_end", math.inf, -math.inf, -0.0, 'odd, "status"'),
+                (np.float64(0.25), np.int64(6), 7, "a\nb", 5e-324, 1e308, np.float64(2.5), "")]
+        p = tmp_path / "s.csv"
+        fileio.write_sweep(p, rows, "5eed")
+        assert p.read_bytes() == ref_sweep_text(rows, "5eed").encode()
+        fileio.write_sweep(p, [], "5eed")
+        assert p.read_bytes() == ref_sweep_text([], "5eed").encode()
 
     def test_svg(self, tmp_path):
         u = gb.random_body(2, 1, 16, 0.1)

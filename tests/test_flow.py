@@ -132,24 +132,71 @@ class TestStagesAgainstReference:
         g, g_ref = gb.curvature_data(new.u), gb.curvature_data(ref)
         assert np.abs(g.f - g_ref.f).max() <= 1e-12 * np.abs(g_ref.f).max()
 
-    def test_a_stage_warns_on_a_marginal_body(self, monkeypatch):
+    def test_a_stage_warns_on_a_marginal_body(self):
         # the top mode cos(16 theta) puts 2.5e-7 of the energy in the tail
         g = circle(16)
         with pytest.warns(RuntimeWarning, match="marginally resolved"):
             st = make_state(gb.SupportFunction(g, 1.0 + 1e-3 * np.cos(16 * g.thetas)))
-
-        def quiet_build(*args, **kwargs):  # the accepted body stays silent
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return gb.SupportFunction(*args, **kwargs)
-
-        monkeypatch.setattr(gf, "SupportFunction", quiet_build)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             gf.step(st, 1e9)
         tail = [w for w in caught if issubclass(w.category, RuntimeWarning)
                 and "marginally resolved" in str(w.message)]
-        assert len(tail) == 3  # stages 2, 3 and 4
+        assert len(tail) == 4  # stages 2, 3 and 4, then the accepted body
+
+
+def rebuild_geometry(u, values):
+    return gb.curvature_data(gb.SupportFunction(u.grid, values, u.basepoint))
+
+
+class TestAdvancedGeometry:
+    """A step advances the body's cached geometry by its stages' increments
+    instead of rebuilding it."""
+
+    @pytest.mark.parametrize("dim,L,steps", [(1, 16, 500), (2, 8, 50)])
+    @pytest.mark.parametrize("kind,alpha", [("normalized", 0.5), ("unnormalized", 1.0),
+                                            ("expanding", 2.0)])
+    def test_cached_geometry_matches_a_rebuild(self, dim, L, steps, kind, alpha):
+        u0 = gb.random_body(4, dim, L, 0.1, centrally_symmetric=True)
+        st = make_state(u0, kind, alpha)
+        for _ in range(steps):
+            st = gf.step(st, 1e9)
+        u, g = st.u, gb.curvature_data(st.u)
+        fresh = rebuild_geometry(u, u.values)
+        # the largest support value the run held sets the scale of its rounding
+        s = max(np.abs(u0.values).max(), np.abs(u.values).max())
+        assert np.abs(g.gradient - fresh.gradient).max() <= 1e-12 * s
+        assert np.abs(g.spectrum - fresh.spectrum).max() <= 1e-12 * np.abs(fresh.spectrum).max()
+        # A and f match a rebuild of the bandlimited part of the values to
+        # 1e-12. A rebuild of the values themselves also differentiates the
+        # rounding that the additions leave above the bandlimit (frequencies
+        # up to 2L on the circle's 4L nodes), which the cached data never
+        # sees; that share grows like the square root of the step count.
+        clean = rebuild_geometry(u, sg.project(u.grid, u.values))
+        for name, scale in (("A", s), ("f", s**dim)):
+            cached = getattr(g, name)
+            assert np.abs(cached - getattr(clean, name)).max() <= 1e-12 * scale
+            assert np.abs(cached - getattr(fresh, name)).max() <= 4e-12 * scale
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grid,axes,factor", [(circle(), (1.4, 0.8), 80.0),
+                                                  (sphere(), (1.4, 1.0, 0.8), 30.0)],
+                             ids=["n1", "n2"])
+    def test_a_step_builds_no_body(self, monkeypatch, grid, axes, factor):
+        st = make_state(gb.ellipse(grid, axes), "normalized", 1.0)
+        st = replace(st, u=gb.normalize_volume(st.u))
+        builds = []
+        real = gb.SupportFunction.__post_init__
+
+        def counting(self):
+            builds.append(self)
+            real(self)
+
+        monkeypatch.setattr(gb.SupportFunction, "__post_init__", counting)
+        assert gf.step(st, 1e9).rejected_steps == 0
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor)  # one halving
+        assert gf.step(st, 1e9).rejected_steps == 1
+        assert builds == []
 
 
 class TestStabilityCap:

@@ -162,6 +162,17 @@ def test_project_frame_is_project_then_frame_hessian(dim, L):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 32)])
+def test_project_frame_gradient_is_that_of_the_projection(dim, L):
+    grid = sg.build_grid(dim, L)
+    u = random_field(grid, seed=5) + 0.3 * np.exp(2.0 * grid.nodes[:, 0])
+    gradient = sg.frame_hessian(grid, sg.project(grid, u)).gradient
+    pf = sg.project_frame(grid, u)
+    assert pf.gradient.shape == gradient.shape == (grid.node_count, dim)
+    assert_allclose(pf.gradient, gradient, atol=1e-13 * np.abs(gradient).max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2])
 def test_laplacian_integrates_to_zero(dim):
     grid = sg.build_grid(dim, 10)
