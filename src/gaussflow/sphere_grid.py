@@ -502,7 +502,9 @@ def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
                               rows[M: 2 * M].reshape(M, 1), spectrum)
     pairs = _sphere_analysis(grid, values)
     rows = _sphere_synthesis(grid, pairs, _VALUE_AND_FRAME)
-    return ProjectedFrame(rows[0], _sphere_hessian(grid, *rows[1:]),
+    # a copy of the values, so that a kept frame does not pin the five
+    # derivative rows: a step holds four frames at once
+    return ProjectedFrame(rows[0].copy(), _sphere_hessian(grid, *rows[1:]),
                           _sphere_gradient(grid, *rows[1:3]), pairs.swapaxes(0, 1))
 
 
