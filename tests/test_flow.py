@@ -183,8 +183,7 @@ class TestAdvancedGeometry:
                                                   (sphere(), (1.4, 1.0, 0.8), 30.0)],
                              ids=["n1", "n2"])
     def test_a_step_builds_no_body(self, monkeypatch, grid, axes, factor):
-        st = make_state(gb.ellipse(grid, axes), "normalized", 1.0)
-        st = replace(st, u=gb.normalize_volume(st.u))
+        st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
         builds = []
         real = gb.SupportFunction.__post_init__
 
