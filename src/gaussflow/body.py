@@ -10,10 +10,10 @@ the surface-area measure density and K = 1/f the Gauss curvature.
 Uniform convexity (lambda_min(A) > 0 at every node) is enforced eagerly:
 constructing a SupportFunction computes the curvature data once, caches
 it, and raises ConvexityLost if A is not positive definite. A body can
-also be made from values plus curvature data already in hand
-(`with_geometry`), without a transform: `scale` dilates a body by
-scaling its cached data, and a flow step advances the cached data by its
-stages' increments, which it checks as a build would.
+also be made from curvature data already in hand (`with_geometry`),
+without a transform: `scale` dilates a body by scaling its cached data,
+and a flow step advances the cached data by its stages' increments,
+which it checks as a build would.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .errors import (
 __all__ = [
     "SupportFunction",
     "BodyGeometry",
-    "curvature_tensor",
     "curvature_invariants",
     "support_about",
     "curvature_data",
@@ -61,41 +60,43 @@ __all__ = [
 class BodyGeometry:
     """Per-node curvature data of a uniformly convex body.
 
-    A is the symmetric n x n tensor hess(u) + u*I, f = det(A) the
-    surface-area measure density, K = 1/f the Gauss curvature, lam_min
-    the smallest eigenvalue of A. The tangential gradient of u is kept
-    for boundary-point reconstruction, and the spectrum of u (see
-    `sphere_grid.FrameDerivatives`) so that a flow stage u + h k can check
-    its resolution without a transform of its own. A, gradient and
-    spectrum are linear in u: a flow step gives its new body these three
-    as the old body's plus the step's combined increments
+    frame holds the support values u, the entries of the symmetric
+    n x n tensor A = hess(u) + u*I and the tangential gradient of u as
+    one (3n, nodes) array (the layout of `sphere_grid.frame_of`); A and
+    gradient are views of it. f = det(A) is the surface-area measure
+    density, K = 1/f the Gauss curvature, lam_min the smallest eigenvalue
+    of A, and spectrum the spectrum of u (see
+    `sphere_grid.FrameDerivatives`), so that a flow stage u + h k can check
+    its resolution without a transform of its own. frame and spectrum are
+    linear in u: a flow step gives its new body these two as the old
+    body's plus the step's combined increments
     (`sphere_grid.ProjectedFrame`), with f, K and lam_min from that A.
     """
 
-    A: NDArray
+    frame: NDArray
     f: NDArray
     K: NDArray
     lam_min: NDArray
-    gradient: NDArray
     spectrum: NDArray
 
+    @property
+    def A(self) -> NDArray:
+        return sg.frame_tensor(self.frame)
 
-_IDENTITY = {1: np.eye(1), 2: np.eye(2)}
+    @property
+    def gradient(self) -> NDArray:
+        return sg.frame_gradient(self.frame)
 
 
-def curvature_tensor(hessian: NDArray, values: NDArray) -> NDArray:
-    """A = hess(u) + u*I per node, from a frame Hessian and the values."""
-    return hessian + values[:, None, None] * _IDENTITY[hessian.shape[1]]
-
-
-def curvature_invariants(A: NDArray) -> tuple[NDArray, NDArray]:
-    """det A and lambda_min(A) per node; raises ConvexityLost at the node
-    of the smallest lambda_min unless every one is positive."""
-    if A.shape[1] == 1:
-        f = A[:, 0, 0].copy()
+def curvature_invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
+    """det A and lambda_min(A) per node of a frame; raises ConvexityLost
+    at the node of the smallest lambda_min unless every one is positive."""
+    entries = sg.tensor_rows(frame)
+    if len(entries) == 1:
+        f = entries[0].copy()
         lam = f.copy()
     else:
-        a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 1, 1]
+        a, b, c = entries
         f = a * c - b * b
         lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
     i = int(lam.argmin())
@@ -106,10 +107,10 @@ def curvature_invariants(A: NDArray) -> tuple[NDArray, NDArray]:
 
 def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
     fd = sg.frame_hessian(grid, values)
-    A = curvature_tensor(fd.hessian, values)
-    f, lam = curvature_invariants(A)
-    return BodyGeometry(A=A, f=f, K=1.0 / f, lam_min=lam, gradient=fd.gradient,
-                        spectrum=fd.spectrum)
+    frame = sg.frame_of(values, fd.hessian, fd.gradient)
+    f, lam = curvature_invariants(frame)
+    frame.setflags(write=False)
+    return BodyGeometry(frame=frame, f=f, K=1.0 / f, lam_min=lam, spectrum=fd.spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,8 @@ class SupportFunction:
 
     values[i] = max over body points p of <p - basepoint, x_i>. The
     constructor validates uniform convexity (see module docstring) and
-    caches the curvature data.
+    caches the curvature data; values is the read-only row 0 of its
+    frame.
     """
 
     grid: sg.SphereGrid
@@ -127,7 +129,7 @@ class SupportFunction:
     _geometry: BodyGeometry = field(init=False, repr=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).copy()
+        values = np.asarray(self.values, dtype=float)
         if values.shape != (self.grid.node_count,):
             raise ValueError(f"values shape {values.shape} does not match grid")
         if self.basepoint is None:
@@ -135,11 +137,11 @@ class SupportFunction:
         basepoint = np.asarray(self.basepoint, dtype=float).copy()
         if basepoint.shape != (self.grid.dim + 1,):
             raise ValueError(f"basepoint must be a vector in R^{self.grid.dim + 1}")
-        values.setflags(write=False)
         basepoint.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        geometry = _curvature_arrays(self.grid, values)
+        object.__setattr__(self, "values", geometry.frame[0])
         object.__setattr__(self, "basepoint", basepoint)
-        object.__setattr__(self, "_geometry", _curvature_arrays(self.grid, values))
+        object.__setattr__(self, "_geometry", geometry)
 
     @property
     def dim(self) -> int:
@@ -157,16 +159,15 @@ def support_about(u: SupportFunction, z: NDArray) -> SupportFunction:
     return SupportFunction(u.grid, u.values - u.grid.nodes @ z, u.basepoint + z)
 
 
-def with_geometry(u: SupportFunction, values: NDArray,
-                  geometry: BodyGeometry) -> SupportFunction:
-    """The body on u's grid and basepoint with these support values and
-    curvature data, made without a transform and without a check: the
-    caller answers for `geometry` being the data of `values` (a dilate in
-    `scale`, a checked RK4 combination in `flow.step`). Takes ownership
-    of `values`, which it makes read-only."""
-    values.setflags(write=False)
+def with_geometry(u: SupportFunction, geometry: BodyGeometry) -> SupportFunction:
+    """The body on u's grid and basepoint with this curvature data, whose
+    frame's row 0 gives its support values; made without a transform and
+    without a check, so the caller answers for `geometry` being the data
+    of a convex body (a dilate in `scale`, a checked RK4 combination in
+    `flow.step`). Takes ownership of the frame, which it makes read-only."""
+    geometry.frame.setflags(write=False)
     out = object.__new__(SupportFunction)  # skips __post_init__
-    for name, value in (("grid", u.grid), ("values", values),
+    for name, value in (("grid", u.grid), ("values", geometry.frame[0]),
                         ("basepoint", u.basepoint), ("_geometry", geometry)):
         object.__setattr__(out, name, value)
     return out
@@ -175,17 +176,18 @@ def with_geometry(u: SupportFunction, values: NDArray,
 def scale(u: SupportFunction, s: float) -> SupportFunction:
     """Dilate the body by s > 0 about its current basepoint.
 
-    The cached geometry is scaled instead of recomputed: A -> sA,
-    f -> s^n f, K -> s^-n K, lambda -> s lambda, gradient and spectrum ->
-    s times. A dilate of a valid body is valid, so nothing is re-checked.
+    The cached geometry is scaled instead of recomputed: the frame (values,
+    A and gradient) and spectrum -> s times, f -> s^n f, K -> s^-n K,
+    lambda -> s lambda. A dilate of a valid body is valid, so nothing is
+    re-checked.
     """
     if s <= 0:
         raise ValueError("scale factor must be positive")
     g = curvature_data(u)
     sn = s**u.dim
-    return with_geometry(u, s * u.values, BodyGeometry(
-        A=s * g.A, f=sn * g.f, K=g.K / sn, lam_min=s * g.lam_min,
-        gradient=s * g.gradient, spectrum=s * g.spectrum))
+    return with_geometry(u, BodyGeometry(
+        frame=s * g.frame, f=sn * g.f, K=g.K / sn, lam_min=s * g.lam_min,
+        spectrum=s * g.spectrum))
 
 
 def volume(u: SupportFunction) -> float:

@@ -112,6 +112,8 @@ def read_body(path) -> SupportFunction:
         basepoint = np.asarray(doc["basepoint"], dtype=float)
     except KeyError as e:
         raise ValueError(f"{path}: missing field {e}") from e
+    except TypeError as e:
+        raise ValueError(f"{path}: malformed field ({e})") from e
     return SupportFunction(grid, values, basepoint)
 
 

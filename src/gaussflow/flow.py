@@ -11,18 +11,19 @@ body:
 Stepping is classic RK4 with the spectral stability cap
 dt <= 1.5 / (L(L+1) D_max) (bandlimit L, largest diffusivity D_max) and
 step rejection (halving, up to 12 times) whenever a stage or the
-accepted body loses uniform convexity or positivity. A stage is the
-accepted body u plus h times a projected increment k, so its curvature
-tensor and spectrum are u's cached ones plus h times k's, which one
-analysis and one synthesis of du give (`sphere_grid.project_frame`); it
-is checked like a body build (spectral tail, lambda_min > 0, u > 0) but
-builds no SupportFunction. The accepted body u + dt/6 (k1 + 2 k2 + 2 k3
-+ k4) is made the same way: its tensor, gradient and spectrum are u's
-advanced by the stages' combined increments, checked in the same order,
-so a step advances the cached geometry instead of rebuilding it and
-transforms no body. Normalized states are then rescaled to the
-unit-ball volume by `body.scale`, which scales the cached geometry; the
-accumulated |log rescale| is kept as an accuracy diagnostic.
+accepted body loses uniform convexity or positivity. A body caches its
+values, curvature tensor A and gradient as one frame array, and its
+spectrum (`body.BodyGeometry`); both are linear in u. A stage is the
+accepted body u plus h times a projected increment k, so its frame and
+spectrum are u's plus h times k's, which one analysis and one synthesis
+of du give (`sphere_grid.project_frame`): one array sum each. It is
+checked like a body build (spectral tail, lambda_min > 0, u > 0) but
+builds no SupportFunction. The accepted body u + dt/6 (k1 + 2 (k2 + k3)
++ k4) is made the same way from the stages' summed frames and checked
+in the same order, so a step transforms no body. A normalized step then
+multiplies the accepted frame and spectrum by the rescale to the
+unit-ball volume, in place, before it makes the body; the accumulated
+|log rescale| is kept as an accuracy diagnostic.
 
 Per-sample diagnostics cover the entropy (about the moving entropy point
 and about the origin), the curvature power mean, widths and radii, the
@@ -114,7 +115,7 @@ def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.
 def rhs(state: FlowState) -> NDArray:
     """Right-hand side du/dt on the nodes, re-projected to the bandlimit."""
     g = curvature_data(state.u)
-    return _increment(state, state.u.values, g.f, g.K).values
+    return _increment(state, state.u.values, g.f, g.K).rows[0]
 
 
 def step(state: FlowState, dt_request: float) -> FlowState:
@@ -133,10 +134,12 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     to 12 times, after which StepFailure reports the offending node. A
     dt that cannot advance the clock raises StepFailure at once.
 
-    The accepted body takes no transform: A, gradient and spectrum are
-    linear in u, so they are u's cached ones plus dt/6 times those of
-    the increments' sum k1 + 2 k2 + 2 k3 + k4, checked like a stage and
-    attached by `body.with_geometry`.
+    The accepted body takes no transform: its frame (values, A and
+    gradient) and spectrum are linear in u, so they are u's cached ones
+    plus dt/6 times those of the increments' sum k1 + 2 (k2 + k3) + k4,
+    checked like a stage. A normalized step multiplies that frame and
+    spectrum by the volume rescale s in place (f by s^n, K by s^-n,
+    lambda_min by s) and attaches the result by `body.with_geometry`.
     """
     if dt_request <= 0.0:
         raise ValueError("dt_request must be positive")
@@ -149,20 +152,19 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     k1 = sg.project_frame(u.grid, v)
 
     def advance(h, k):
-        """Values, curvature tensor, f, lambda_min and spectrum of u + h k,
-        the tensor and spectrum u's plus h times k's; checked in the
-        order a SupportFunction build checks, then for u > 0."""
-        values = u.values + h * k.values
+        """Frame, spectrum, f and lambda_min of u + h k, u's frame and
+        spectrum plus h times k's; checked in the order a SupportFunction
+        build checks, then for u > 0."""
+        frame = g.frame + h * k.rows
         spectrum = g.spectrum + h * k.spectrum
         sg.warn_if_marginal(u.grid, spectrum)
-        A = g.A + h * gb.curvature_tensor(k.hessian, k.values)
-        f, lam = gb.curvature_invariants(A)
-        _check_positive(values)
-        return values, A, f, lam, spectrum
+        f, lam = gb.curvature_invariants(frame)
+        _check_positive(frame[0])
+        return frame, spectrum, f, lam
 
     def stage(h, k):
-        values, _, f, _, _ = advance(h, k)
-        return _increment(state, values, f, 1.0 / f)
+        frame, _, f, _ = advance(h, k)
+        return _increment(state, frame[0], f, 1.0 / f)
 
     rejections = 0
     while True:
@@ -172,24 +174,30 @@ def step(state: FlowState, dt_request: float) -> FlowState:
             k2 = stage(0.5 * dt, k1)
             k3 = stage(0.5 * dt, k2)
             k4 = stage(dt, k3)
-            k = sg.ProjectedFrame(*(x1 + 2.0 * x2 + 2.0 * x3 + x4
-                                    for x1, x2, x3, x4 in zip(k1, k2, k3, k4)))
-            values, A, f, lam, spectrum = advance(dt / 6.0, k)
+            k = sg.ProjectedFrame(k1.rows + 2.0 * (k2.rows + k3.rows) + k4.rows,
+                                  k1.spectrum + 2.0 * (k2.spectrum + k3.spectrum) + k4.spectrum)
+            frame, spectrum, f, lam = advance(dt / 6.0, k)
             break
         except (ConvexityLost, _PositivityLost) as e:
             rejections += 1
             if rejections > MAX_HALVINGS:
                 raise StepFailure(getattr(e, "node", None), dt, rejections - 1) from None
             dt *= 0.5
-    u_new = gb.with_geometry(u, values, gb.BodyGeometry(
-        A=A, f=f, K=1.0 / f, lam_min=lam, gradient=g.gradient + dt / 6.0 * k.gradient,
-        spectrum=spectrum))
+    K = 1.0 / f
     rescale = state.cumulative_rescale
     if state.kind == "normalized":
-        target = sg.ball_volume(u.dim)
-        s = (target / gb.volume(u_new)) ** (1.0 / (u.dim + 1))
-        u_new = gb.scale(u_new, s)
+        # gb.volume of the accepted body, then gb.scale's products in place
+        vol = sg.integrate(u.grid, frame[0] * f) / (u.dim + 1)
+        s = (sg.ball_volume(u.dim) / vol) ** (1.0 / (u.dim + 1))
+        sn = s**u.dim
+        frame *= s
+        spectrum *= s
+        f *= sn
+        K /= sn
+        lam *= s
         rescale += abs(math.log(s))
+    u_new = gb.with_geometry(u, gb.BodyGeometry(frame=frame, f=f, K=K, lam_min=lam,
+                                                spectrum=spectrum))
     return FlowState(
         kind=state.kind,
         alpha=state.alpha,

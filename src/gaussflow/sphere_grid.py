@@ -30,6 +30,15 @@ analysis and synthesis are matmuls against cos/sin tables of the 2L+1
 retained frequencies, a few microseconds each at the bandlimits used
 here, where an FFT call takes about ten.
 
+A frame is the curvature data of a field as one array of shape
+(3n, nodes) on S^n: row 0 holds the values u, the next 2n - 1 rows the
+entries of A = hess u + u I in the orthonormal frame (A on the circle;
+A11, A12, A22 on the sphere), and the last n rows the gradient (u' on
+the circle; u_t, u_p / sin t on the sphere). A frame is linear in u, so
+frames add as arrays. This module owns the row order: `frame_of` and
+`project_frame` write frames, `tensor_rows`, `frame_tensor` and
+`frame_gradient` read them.
+
 Grids are immutable after construction and safe to share across
 threads; `build_grid` memoizes construction per (dim, bandlimit).
 """
@@ -54,6 +63,10 @@ __all__ = [
     "project",
     "frame_hessian",
     "FrameDerivatives",
+    "frame_of",
+    "tensor_rows",
+    "frame_tensor",
+    "frame_gradient",
     "project_frame",
     "ProjectedFrame",
     "warn_if_marginal",
@@ -124,8 +137,9 @@ class SphereGrid:
     quadrature weights folded into an analysis copy of P (4 (L+1)^3
     numbers). All arrays of the L = 32 grid take about 1.4 MB. The
     circle keeps cos/sin(k theta), k <= L, at its 4L nodes for
-    `project_frame`: one analysis table and one synthesis table of value,
-    first and second derivative (4 (2L+2) 4L numbers, 70 kB at L = 16).
+    `project_frame`: one analysis table, and one synthesis table whose
+    three blocks give the frame rows u, A = u'' + u and u' (4 (2L+2) 4L
+    numbers, 70 kB at L = 16).
 
     Use :func:`build_grid` rather than the constructor; grids are cached.
     """
@@ -159,13 +173,14 @@ class SphereGrid:
         self.coeff_count = 2 * L + 1
         self.degrees = np.concatenate([[0], np.arange(1, L + 1), np.arange(1, L + 1)])
         # one ring of the Fourier stage, signed like rfft: columns 2k + 0/1
-        # of _ring_dft give Re and Im of rfft(u)[k]; _circle_synthesis turns
-        # those into the value (first N columns), first and second
-        # derivative of the projection (weights 1/N for k = 0, 2/N above)
+        # of _ring_dft give Re and Im of rfft(u)[k]; _frame_synthesis turns
+        # those into the frame rows of the projection, one block of N
+        # columns each: u, A = u'' + u and u' (weights 1/N for k = 0, 2/N
+        # above)
         idft = _fourier_tables(L, theta) * np.tile([1.0, -1.0], L + 1)[:, None]
         self._ring_dft = idft[0].T.copy()
         weight = np.repeat(np.where(np.arange(L + 1) > 0, 2.0, 1.0) / N, 2)[:, None]
-        self._circle_synthesis = np.hstack(list(idft)) * weight
+        self._frame_synthesis = np.hstack([idft[0], idft[2] + idft[0], idft[1]]) * weight
 
     def _init_sphere(self, L: int) -> None:
         nt, nphi = L + 1, 2 * L + 2
@@ -385,7 +400,8 @@ def spectral_tail(grid: SphereGrid, values: NDArray) -> float:
 
 
 class FrameDerivatives(NamedTuple):
-    """Covariant Hessian, gradient and spectrum of a field (`frame_hessian`).
+    """Covariant Hessian, gradient and spectrum of a field (`frame_hessian`);
+    `frame_of` packs the first two with the values into the field's frame.
 
     spectrum holds the field's Fourier or harmonic content with the
     frequency or degree on its first axis: on the circle (2L+1, 2), the
@@ -400,15 +416,13 @@ class FrameDerivatives(NamedTuple):
 
 
 class ProjectedFrame(NamedTuple):
-    """Projection of a field onto the bandlimit (`project_frame`): node
-    values, frame Hessian, gradient and spectrum (layout of
-    FrameDerivatives). All four are linear in the field, so a flow step
-    advances a body's cached geometry by adding them up instead of
+    """Projection of a field onto the bandlimit (`project_frame`): its
+    frame `rows` (module docstring) and its spectrum (layout of
+    FrameDerivatives). Both are linear in the field, so a flow step
+    advances a body's frame by whole-array sums of these instead of
     transforming the new values."""
 
-    values: NDArray
-    hessian: NDArray
-    gradient: NDArray
+    rows: NDArray
     spectrum: NDArray
 
 
@@ -431,6 +445,40 @@ def _sphere_hessian(grid: SphereGrid, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
     hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot * u_p) * inv_st
     hess[:, 1, 1] = u_pp * inv_st * inv_st + cot * u_t
     return hess
+
+
+def frame_of(values: NDArray, hessian: NDArray, gradient: NDArray) -> NDArray:
+    """The frame (module docstring) of a field from its node values and
+    its frame Hessian and gradient (as `frame_hessian` returns them)."""
+    n = gradient.shape[1]
+    frame = np.empty((3 * n, values.size))
+    frame[0] = values
+    frame[1] = hessian[:, 0, 0] + values
+    if n == 2:
+        frame[2] = hessian[:, 0, 1]
+        frame[3] = hessian[:, 1, 1] + values
+    frame[-n:] = gradient.T
+    return frame
+
+
+def tensor_rows(frame: NDArray) -> NDArray:
+    """The rows of a frame that hold the entries of A: A on the circle,
+    A11, A12, A22 on the sphere."""
+    return frame[1: 2 * (len(frame) // 3)]
+
+
+def frame_tensor(frame: NDArray) -> NDArray:
+    """A = hess u + u I of a frame as a read-only (nodes, n, n) view:
+    entry (i, j) is row 1 + i + j, so A12 and A21 share a row."""
+    row, item = frame.strides
+    n = len(frame) // 3
+    return np.lib.stride_tricks.as_strided(frame[1:], (frame.shape[1], n, n),
+                                           (item, row, row), writeable=False)
+
+
+def frame_gradient(frame: NDArray) -> NDArray:
+    """The gradient of a frame as a (nodes, n) view."""
+    return frame[-(len(frame) // 3):].T
 
 
 def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
@@ -475,37 +523,38 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
 
 
 def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
-    """Projection of node values onto the bandlimit, with its frame
-    Hessian, gradient and spectrum, from one analysis and one synthesis.
+    """Projection of node values onto the bandlimit as a frame, with its
+    spectrum, from one analysis and one synthesis.
 
-    Equals `project` followed by `frame_hessian` up to rounding, without
-    the tail check: a projection has no energy above the bandlimit. On the
-    circle both transforms are matmuls against the cos/sin tables of the
-    retained frequencies (see the module docstring); the gradient is one
-    more block of the synthesis table. On the sphere it comes from the
-    u_t and u_p rows that the Hessian reads.
+    Equals `frame_of` the projection (`project`) and its `frame_hessian`,
+    up to rounding, without the tail check: a projection has no energy
+    above the bandlimit. On the circle both transforms are matmuls
+    against the cos/sin tables of the retained frequencies (see the module
+    docstring), and one synthesis matmul gives all three frame rows. On
+    the sphere the frame comes from the value, u_t, u_p and second
+    derivative rows of one synthesis.
     """
     values = _check_values(grid, values)
     if grid.dim == 1:
         # the tables' sums of cos/sin(k theta) over the nodes are not
         # exactly 0, so a constant would pick up rounding in every mode;
         # analysing values - values[0] keeps a constant (a ball's
-        # increment) exactly constant, as the FFT does
+        # increment) exactly constant, as the FFT does. A constant c has
+        # the frame rows (c, c, 0).
         L, M = grid.bandlimit, grid.node_count
         shift = values[0]
         sums = (values - shift) @ grid._ring_dft
-        rows = sums @ grid._circle_synthesis
+        frame = (sums @ grid._frame_synthesis).reshape(3, M)
+        frame[:2] += shift
         spectrum = np.zeros((2 * L + 1, 2))
         spectrum[: L + 1] = sums.reshape(L + 1, 2)
         spectrum[0, 0] += M * shift
-        return ProjectedFrame(rows[:M] + shift, rows[2 * M:].reshape(M, 1, 1),
-                              rows[M: 2 * M].reshape(M, 1), spectrum)
+        return ProjectedFrame(frame, spectrum)
     pairs = _sphere_analysis(grid, values)
     rows = _sphere_synthesis(grid, pairs, _VALUE_AND_FRAME)
-    # a copy of the values, so that a kept frame does not pin the five
-    # derivative rows: a step holds four frames at once
-    return ProjectedFrame(rows[0].copy(), _sphere_hessian(grid, *rows[1:]),
-                          _sphere_gradient(grid, *rows[1:3]), pairs.swapaxes(0, 1))
+    frame = frame_of(rows[0], _sphere_hessian(grid, *rows[1:]),
+                     _sphere_gradient(grid, *rows[1:3]))
+    return ProjectedFrame(frame, pairs.swapaxes(0, 1))
 
 
 def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,

@@ -186,6 +186,19 @@ class TestFlow:
                    "--out-dir", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize("field,value", [("dim", None), ("bandlimit", [16]),
+                                             ("values", {"a": 1}), ("basepoint", {"x": 0})],
+                             ids=["dim-null", "bandlimit-list", "values-dict", "basepoint-dict"])
+    def test_malformed_body_field(self, tmp_path, capsys, field, value):
+        p = make_ellipse_file(tmp_path, axes="1.4,0.8", bandlimit=16)
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        rc = main(["flow", "--input", str(p), "--alpha", "1", "--out-dir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "cannot load input body" in err and str(p) in err
+
     def test_unnormalized_body_into_normalized_kind(self, tmp_path):
         p = make_ellipse_file(tmp_path, axes="1.4,0.8", bandlimit=16)
         rc = main(["flow", "--input", str(p), "--kind", "normalized",

@@ -120,6 +120,17 @@ def reference_step(state, dt):
     return new
 
 
+def rebuild_geometry(u, values):
+    return gb.curvature_data(gb.SupportFunction(u.grid, values, u.basepoint))
+
+
+# Ellipses whose first normalized step at alpha 1 takes exactly one
+# halving when SPECTRAL_FACTOR is raised to `factor`.
+ONE_HALVING = pytest.mark.parametrize(
+    "grid,axes,factor", [(circle(), (1.4, 0.8), 80.0), (sphere(), (1.4, 1.0, 0.8), 30.0)],
+    ids=["n1", "n2"])
+
+
 class TestStagesAgainstReference:
     @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
     @pytest.mark.parametrize("kind,alpha", [("unnormalized", 1.0), ("normalized", 0.5),
@@ -132,6 +143,26 @@ class TestStagesAgainstReference:
         g, g_ref = gb.curvature_data(new.u), gb.curvature_data(ref)
         assert np.abs(g.f - g_ref.f).max() <= 1e-12 * np.abs(g_ref.f).max()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @ONE_HALVING
+    def test_a_rejected_attempt_leaves_no_trace(self, monkeypatch, grid, axes, factor):
+        st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor)
+        new = gf.step(st, 1e9)
+        assert new.rejected_steps == 1
+        ref = reference_step(st, new.dt_last)
+        assert np.abs(new.u.values - ref.values).max() <= 1e-12
+        g = gb.curvature_data(new.u)
+        fresh = rebuild_geometry(new.u, new.u.values)
+        assert np.abs(g.f - fresh.f).max() <= 1e-12 * np.abs(fresh.f).max()
+        # the halved step is the clean step at half the factor, bit for bit
+        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor / 2.0)
+        clean = gf.step(st, 1e9)
+        assert clean.rejected_steps == 0 and clean.dt_last == new.dt_last
+        g_clean = gb.curvature_data(clean.u)
+        for name in ("frame", "f", "K", "lam_min", "spectrum"):
+            assert np.array_equal(getattr(g, name), getattr(g_clean, name)), name
+
     def test_a_stage_warns_on_a_marginal_body(self):
         # the top mode cos(16 theta) puts 2.5e-7 of the energy in the tail
         g = circle(16)
@@ -143,10 +174,6 @@ class TestStagesAgainstReference:
         tail = [w for w in caught if issubclass(w.category, RuntimeWarning)
                 and "marginally resolved" in str(w.message)]
         assert len(tail) == 4  # stages 2, 3 and 4, then the accepted body
-
-
-def rebuild_geometry(u, values):
-    return gb.curvature_data(gb.SupportFunction(u.grid, values, u.basepoint))
 
 
 class TestAdvancedGeometry:
@@ -179,9 +206,7 @@ class TestAdvancedGeometry:
             assert np.abs(cached - getattr(fresh, name)).max() <= 4e-12 * scale
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("grid,axes,factor", [(circle(), (1.4, 0.8), 80.0),
-                                                  (sphere(), (1.4, 1.0, 0.8), 30.0)],
-                             ids=["n1", "n2"])
+    @ONE_HALVING
     def test_a_step_builds_no_body(self, monkeypatch, grid, axes, factor):
         st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
         builds = []

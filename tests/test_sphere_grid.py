@@ -153,10 +153,14 @@ def test_project_frame_is_project_then_frame_hessian(dim, L):
     u = random_field(grid, seed=7) + 0.3 * np.exp(2.0 * grid.nodes[:, 0])
     pf = sg.project_frame(grid, u)
     p = sg.project(grid, u)
-    hess, _, spectrum = sg.frame_hessian(grid, p)
-    scale = np.abs(hess).max()
-    assert_allclose(pf.values, p, atol=1e-13 * np.abs(p).max())
-    assert_allclose(pf.hessian, hess, atol=1e-13 * scale)
+    hess, grad, spectrum = sg.frame_hessian(grid, p)
+    expected = sg.frame_of(p, hess, grad)
+    assert pf.rows.shape == expected.shape == (3 * dim, grid.node_count)
+    assert_allclose(pf.rows[0], p, atol=1e-13 * np.abs(p).max())
+    A = sg.tensor_rows(expected)
+    assert_allclose(sg.tensor_rows(pf.rows), A, atol=1e-13 * np.abs(A).max())
+    assert_allclose(sg.frame_tensor(pf.rows), hess + p[:, None, None] * np.eye(dim),
+                    atol=1e-13 * np.abs(A).max())
     assert_allclose(pf.spectrum, spectrum, atol=1e-13 * np.abs(spectrum).max())
     assert pf.spectrum.shape == spectrum.shape
 
@@ -167,9 +171,9 @@ def test_project_frame_gradient_is_that_of_the_projection(dim, L):
     grid = sg.build_grid(dim, L)
     u = random_field(grid, seed=5) + 0.3 * np.exp(2.0 * grid.nodes[:, 0])
     gradient = sg.frame_hessian(grid, sg.project(grid, u)).gradient
-    pf = sg.project_frame(grid, u)
-    assert pf.gradient.shape == gradient.shape == (grid.node_count, dim)
-    assert_allclose(pf.gradient, gradient, atol=1e-13 * np.abs(gradient).max())
+    pf_gradient = sg.frame_gradient(sg.project_frame(grid, u).rows)
+    assert pf_gradient.shape == gradient.shape == (grid.node_count, dim)
+    assert_allclose(pf_gradient, gradient, atol=1e-13 * np.abs(gradient).max())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
