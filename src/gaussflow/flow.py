@@ -105,7 +105,7 @@ def _velocity(state: FlowState, values: NDArray, f: NDArray,
     if state.kind == "unnormalized":
         return -Ka, abs(alpha), Ka, 1.0
     eta = sg.average(state.u.grid, K ** (alpha - 1.0))
-    return -Ka / eta + values, abs(alpha), Ka, eta
+    return values - Ka / eta, abs(alpha), Ka, eta
 
 
 def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
