@@ -35,9 +35,9 @@ A frame is the curvature data of a field as one array of shape
 entries of A = hess u + u I in the orthonormal frame (A on the circle;
 A11, A12, A22 on the sphere), and the last n rows the gradient (u' on
 the circle; u_t, u_p / sin t on the sphere). A frame is linear in u, so
-frames add as arrays. This module owns the row order: `frame_of` and
-`project_frame` write frames, `tensor_rows`, `frame_tensor` and
-`frame_gradient` read them.
+frames add as arrays. This module owns the row order: `frame_of`,
+`project_frame` and, on the sphere, `frame_hessian` write frames;
+`tensor_rows`, `frame_tensor` and `frame_gradient` read them.
 
 Grids are immutable after construction and safe to share across
 threads; `build_grid` memoizes construction per (dim, bandlimit).
@@ -434,17 +434,19 @@ def warn_if_marginal(grid: SphereGrid, spectrum: NDArray) -> None:
         warnings.warn(_TAIL_MESSAGE, RuntimeWarning)
 
 
-def _sphere_gradient(grid: SphereGrid, u_t, u_p) -> NDArray:
-    return np.stack([u_t, u_p * grid._inv_sin], axis=1)
-
-
-def _sphere_hessian(grid: SphereGrid, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
+def _sphere_frame(grid: SphereGrid, u, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
+    """The frame of a sphere field from its synthesized values and
+    derivative rows; with u = 0 its tensor rows hold the frame Hessian
+    (`frame_hessian`)."""
     inv_st, cot = grid._inv_sin, grid._cot
-    hess = np.empty((grid.node_count, 2, 2))
-    hess[:, 0, 0] = u_tt
-    hess[:, 0, 1] = hess[:, 1, 0] = (u_tp - cot * u_p) * inv_st
-    hess[:, 1, 1] = u_pp * inv_st * inv_st + cot * u_t
-    return hess
+    frame = np.empty((6, grid.node_count))
+    frame[0] = u
+    frame[1] = u_tt + u
+    frame[2] = (u_tp - cot * u_p) * inv_st
+    frame[3] = u_pp * inv_st * inv_st + cot * u_t + u
+    frame[4] = u_t
+    frame[5] = u_p * inv_st
+    return frame
 
 
 def frame_of(values: NDArray, hessian: NDArray, gradient: NDArray) -> NDArray:
@@ -468,12 +470,13 @@ def tensor_rows(frame: NDArray) -> NDArray:
 
 
 def frame_tensor(frame: NDArray) -> NDArray:
-    """A = hess u + u I of a frame as a read-only (nodes, n, n) view:
-    entry (i, j) is row 1 + i + j, so A12 and A21 share a row."""
+    """A = hess u + u I of a C-contiguous frame as a read-only (nodes, n, n)
+    view: entry (i, j) is row 1 + i + j, so A12 and A21 share a row."""
     row, item = frame.strides
     n = len(frame) // 3
-    return np.lib.stride_tricks.as_strided(frame[1:], (frame.shape[1], n, n),
-                                           (item, row, row), writeable=False)
+    A = np.ndarray((frame.shape[1], n, n), frame.dtype, frame[1:], 0, (item, row, row))
+    A.flags.writeable = False
+    return A
 
 
 def frame_gradient(frame: NDArray) -> NDArray:
@@ -496,7 +499,8 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     hessian : ndarray, shape (node_count, dim, dim)
         On the circle this is u''(theta) of the 4L-point interpolant; on
         the sphere the components are H11 = u_tt,
-        H12 = (u_tp - cot(t) u_p)/sin(t), H22 = u_pp/sin^2(t) + cot(t) u_t.
+        H12 = (u_tp - cot(t) u_p)/sin(t), H22 = u_pp/sin^2(t) + cot(t) u_t,
+        a read-only view of the tensor rows of a frame with u = 0.
     gradient : ndarray, shape (node_count, dim)
         (u_t, u_p/sin(t)) on the sphere; u' on the circle.
     spectrum : ndarray
@@ -517,9 +521,8 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     pairs = _sphere_analysis(grid, values)
     spectrum = pairs.swapaxes(0, 1)
     warn_if_marginal(grid, spectrum)
-    u_t, u_p, u_tt, u_tp, u_pp = _sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES)
-    return FrameDerivatives(_sphere_hessian(grid, u_t, u_p, u_tt, u_tp, u_pp),
-                            _sphere_gradient(grid, u_t, u_p), spectrum)
+    frame = _sphere_frame(grid, 0.0, *_sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES))
+    return FrameDerivatives(frame_tensor(frame), frame_gradient(frame), spectrum)
 
 
 def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
@@ -551,9 +554,7 @@ def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
         spectrum[0, 0] += M * shift
         return ProjectedFrame(frame, spectrum)
     pairs = _sphere_analysis(grid, values)
-    rows = _sphere_synthesis(grid, pairs, _VALUE_AND_FRAME)
-    frame = frame_of(rows[0], _sphere_hessian(grid, *rows[1:]),
-                     _sphere_gradient(grid, *rows[1:3]))
+    frame = _sphere_frame(grid, *_sphere_synthesis(grid, pairs, _VALUE_AND_FRAME))
     return ProjectedFrame(frame, pairs.swapaxes(0, 1))
 
 
