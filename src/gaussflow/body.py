@@ -246,8 +246,14 @@ class WidthRadii(NamedTuple):
 
     w_plus/w_minus: max/min over nodes of the width u(x) + u(-x).
     rho_plus/rho_minus: circumradius and inradius as min-max/max-min of
-    u(x) - <z, x> over grid nodes, solved exactly by `_radius_lp`, with
-    the centers (relative to the basepoint).
+    u(x) - <z, x> over grid nodes, solved exactly by `_radius_lp`.
+    center_out/center_in (relative to the basepoint) are one optimal point
+    of each solve, not the only one: the optimum can be a face, as when an
+    antipodal node pair (a width) is active, and then solves from
+    different start bases agree on rho to rounding while their centers
+    differ. No output file writes a center. bases holds the optimal bases
+    of the outer and inner solves, to start the next body's on the same
+    grid (see `width_radii`).
     """
 
     w_plus: float
@@ -256,6 +262,7 @@ class WidthRadii(NamedTuple):
     rho_minus: float
     center_out: NDArray
     center_in: NDArray
+    bases: tuple[NDArray, NDArray]
 
 
 # Pivots allowed per exchange solve; fuzz bodies need at most 28 at (2, 32).
@@ -271,24 +278,36 @@ def _start_basis(nodes: NDArray) -> NDArray:
     return np.argmax(nodes @ _SIMPLEX[nodes.shape[1]].T, axis=0)
 
 
-def _radius_lp(nodes: NDArray, u: NDArray) -> tuple[float, NDArray]:
-    """Outer radius min over z of max_i u_i - <z, x_i>, and its center z,
-    by Stiefel's exchange (Numer. Math. 2, 1960): a revised simplex on the
-    dual max sum lam_i u_i, sum lam_i = 1, sum lam_i x_i = 0, lam >= 0, over
-    n+2 basis nodes. A pivot brings in the node most above the basis level
-    and drops the ratio test's node, the lowest index on ties (Bland).
-    Raises RadiiNonConvergence past `_MAX_PIVOTS` pivots, or if max_i u_i -
-    <z, x_i> at the center misses the dual objective by more than 1e-8."""
+def _radius_lp(nodes: NDArray, u: NDArray,
+               start: NDArray) -> tuple[float, NDArray, NDArray]:
+    """Outer radius min over z of max_i u_i - <z, x_i>, its center z and
+    the optimal basis, by Stiefel's exchange (Numer. Math. 2, 1960): a
+    revised simplex on the dual max sum lam_i u_i, sum lam_i = 1, sum
+    lam_i x_i = 0, lam >= 0, over n+2 basis nodes. A pivot brings in the
+    node most above the basis level and drops the ratio test's node, the
+    lowest index on ties (Bland).
+
+    The solve starts from `start`, n+2 distinct node indices (not
+    modified): `_start_basis(nodes)` cold, or the optimal basis of an
+    earlier solve on the same nodes. The weights lam depend on the basis
+    nodes only, not on u, so such a basis is dual-feasible for any u; a
+    start is accepted when its smallest weight is >= -1e-12 (rounding),
+    which the ratio test treats as 0. rho is the LP optimum whatever the
+    start, the center one optimal point of a possibly larger face.
+    Raises RadiiNonConvergence for a start below that tolerance, past
+    `_MAX_PIVOTS` pivots, or if max_i u_i - <z, x_i> at the center misses
+    the dual objective by more than 1e-8."""
     d = nodes.shape[1]
-    basis = _start_basis(nodes)
+    basis = np.array(start)
     tol = 1e-14 * max(1.0, float(np.abs(u).max()))
     M = np.ones((d + 1, d + 1))
+    col = np.ones(d + 1)                # (1, x_j) of the entering node j
     for pivots in range(_MAX_PIVOTS + 1):
         M[1:] = nodes[basis].T          # columns (1, x_i), i in the basis
         Minv = np.linalg.inv(M)
         lam = Minv[:, 0]                # dual weights: M lam = (1, 0)
-        if pivots == 0 and lam.min() < 0.0:
-            raise RadiiNonConvergence(np.nan, np.inf)  # start not dual-feasible
+        if pivots == 0 and lam.min() < -1e-12:  # below rounding: not dual-feasible
+            raise RadiiNonConvergence(np.nan, np.inf)
         y = Minv.T @ u[basis]           # level y[0] and center y[1:]
         excess = u - nodes @ y[1:] - y[0]
         excess[basis] = 0.0             # zero up to rounding; must not re-enter
@@ -298,22 +317,33 @@ def _radius_lp(nodes: NDArray, u: NDArray) -> tuple[float, NDArray]:
             gap = abs(rho - float(lam @ u[basis]))
             if gap > 1e-8 * max(1.0, abs(rho)):
                 raise RadiiNonConvergence(rho, gap)
-            return rho, y[1:]
+            return rho, y[1:], basis
         if pivots == _MAX_PIVOTS:
             raise RadiiNonConvergence(float(y[0]), float(excess[j]))
-        delta = Minv @ np.concatenate(([1.0], nodes[j]))
-        ratio = np.where(delta > 1e-14, np.maximum(lam, 0.0) / np.maximum(delta, 1e-14), np.inf)
-        ties = np.flatnonzero(ratio <= ratio.min() + 1e-15)
-        basis[ties[np.argmin(basis[ties])]] = j
+        # ratio test on Python floats: d+1 entries cost less than array calls
+        col[1:] = nodes[j]
+        ratio = [max(w, 0.0) / max(dw, 1e-14) if dw > 1e-14 else np.inf
+                 for w, dw in zip(lam.tolist(), (Minv @ col).tolist())]
+        cut = min(ratio) + 1e-15
+        ties = [k for k, r in enumerate(ratio) if r <= cut]
+        basis[min(ties, key=lambda k: basis[k])] = j
 
 
-def width_radii(u: SupportFunction) -> WidthRadii:
+def width_radii(u: SupportFunction,
+                bases: tuple[NDArray, NDArray] | None = None) -> WidthRadii:
     """Extremal widths w+/- over node directions and outer/inner radii
     rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
-    -(outer radius of -u), about the negated center."""
+    -(outer radius of -u), about the negated center.
+
+    bases starts the outer and inner solves, each from its own basis:
+    pass an earlier result's `bases` from a body on the same grid (a flow
+    passes its previous sample's), or None to start both cold from
+    `_start_basis`. Either start gives the same radii up to rounding."""
+    nodes = u.grid.nodes
+    outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
     w = u.values + u.values[u.grid.antipode]
-    rho_plus, center_out = _radius_lp(u.grid.nodes, u.values)
-    neg_rho, neg_center = _radius_lp(u.grid.nodes, -u.values)
+    rho_plus, center_out, outer = _radius_lp(nodes, u.values, outer)
+    neg_rho, neg_center, inner = _radius_lp(nodes, -u.values, inner)
     return WidthRadii(
         w_plus=float(w.max()),
         w_minus=float(w.min()),
@@ -321,6 +351,7 @@ def width_radii(u: SupportFunction) -> WidthRadii:
         rho_minus=-neg_rho,
         center_out=center_out,
         center_in=-neg_center,
+        bases=(outer, inner),
     )
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -220,7 +221,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every subcommand, built once per process; parsing
+    reads it without changing it, so no call sees an earlier call's flags."""
     parser = _Parser(prog="gaussflow",
                      description="Gauss curvature flows in support-function form.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")

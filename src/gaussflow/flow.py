@@ -283,8 +283,14 @@ def _dissipation(u: SupportFunction, z: NDArray, alpha: float, vol: float) -> fl
     return i1 * i0 / (i2 * i3) - 1.0
 
 
-def diagnostics(state: FlowState) -> DiagnosticsRecord:
-    """All scalar diagnostics of the current state (one CSV row)."""
+def diagnostics(state: FlowState, bases: tuple[NDArray, NDArray] | None = None
+                ) -> tuple[DiagnosticsRecord, tuple[NDArray, NDArray]]:
+    """All scalar diagnostics of the current state (one CSV row), and the
+    optimal bases of its two radius solves.
+
+    bases starts the radius solves (`body.width_radii`): the bases this
+    function returned for the run's previous sample, or None to start
+    cold. The radii are the same up to rounding either way."""
     u = state.u
     alpha = state.alpha
     g = curvature_data(u)
@@ -294,7 +300,7 @@ def diagnostics(state: FlowState) -> DiagnosticsRecord:
         e_origin = ge.entropy_at(u, np.zeros(u.dim + 1), alpha)
     else:
         e_origin = float("nan")
-    wr = gb.width_radii(u)
+    wr = gb.width_radii(u, bases)
     res = soliton_residual(u, alpha)
     diss = _dissipation(u, ep.point, alpha, vol)
     j1 = j2 = j3 = q = float("nan")
@@ -328,7 +334,7 @@ def diagnostics(state: FlowState) -> DiagnosticsRecord:
         j2=j2,
         j3=j3,
         q=q,
-    )
+    ), wr.bases
 
 
 @dataclass
@@ -356,6 +362,11 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
     kind only; pass None to disable) or, for unnormalized runs, when
     min u reaches u_floor; both are checked at t = 0 too. On StepFailure
     the partial trajectory is attached to the exception as exc.partial.
+
+    Each sample's radius solves start from the optimal bases of the
+    previous sample's (see `diagnostics`); only the first sample starts
+    cold. The bases live in this call alone, so a run's output does not
+    depend on what ran before it.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -371,13 +382,16 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         u = gb.support_about(u, ge.entropy_point(u, alpha).point)
     state = FlowState(kind=kind, alpha=alpha, time=0.0, u=u)
     records, samples, steps = [], [], 0
+    bases = None
 
     def below_floor(st):
         return kind == "unnormalized" and st.u.values.min() <= u_floor
 
     def sample(st):
         """Record st; the stop reason its record calls for, or None."""
-        records.append(diagnostics(st))
+        nonlocal bases
+        record, bases = diagnostics(st, bases)
+        records.append(record)
         samples.append((st.time, st.u))
         if stop_residual is not None and records[-1].soliton_res < stop_residual:
             return "residual"

@@ -186,11 +186,12 @@ def highs_radii(u):
     return radii
 
 
-def assert_radii_match_highs(u):
-    wr = gb.width_radii(u)
+def assert_radii_match_highs(u, bases=None):
+    wr = gb.width_radii(u, bases)
     rho_plus, rho_minus = highs_radii(u)
     assert abs(wr.rho_plus - rho_plus) <= 1e-12
     assert abs(wr.rho_minus - rho_minus) <= 1e-12
+    return wr
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
@@ -234,6 +235,72 @@ def test_start_basis_is_dual_feasible():
             M = np.vstack([np.ones(dim + 2), nodes[basis].T])
             lam = np.linalg.solve(M, np.eye(dim + 2)[0])
             assert lam.min() > 0.0, (dim, L)
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
+def test_warm_started_radii_match_highs(dim, L):
+    # each body's solves start from the previous body's optimal bases
+    wr = None
+    for seed in range(8):
+        wr = assert_radii_match_highs(gb.random_body(seed, dim, L, 0.1),
+                                      wr and wr.bases)
+
+
+def no_cold_start(nodes):
+    raise AssertionError("started from the simplex basis")
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
+def test_a_solve_from_its_optimal_basis_makes_no_pivot(dim, L, monkeypatch):
+    u = gb.random_body(4, dim, L, 0.1)
+    wr = gb.width_radii(u)
+    monkeypatch.setattr(gb, "_MAX_PIVOTS", 0)
+    monkeypatch.setattr(gb, "_start_basis", no_cold_start)
+    again = gb.width_radii(u, wr.bases)
+    assert again.rho_plus == wr.rho_plus and again.rho_minus == wr.rho_minus
+    for b, b0 in zip(again.bases, wr.bases):
+        assert (b == b0).all()
+
+
+def rounding_negative_start(grid):
+    """A basis of an antipodal node pair and n more nodes whose other
+    weights, zero in exact arithmetic, round to a smallest one in
+    (-1e-15, -1e-16): the first such basis in node order."""
+    nodes, n = grid.nodes, grid.dim
+    for i in range(grid.node_count):
+        for rest in zip(*(range(k, grid.node_count) for k in range(1, n + 1))):
+            basis = np.array([i, grid.antipode[i], *rest])
+            M = np.vstack([np.ones(n + 2), nodes[basis].T])
+            if len(set(basis)) < n + 2 or abs(np.linalg.det(M)) < 1e-3:
+                continue
+            if -1e-15 < np.linalg.inv(M)[:, 0].min() < -1e-16:
+                return basis
+    raise AssertionError("no rounding-negative basis on this grid")
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8)])
+def test_rounding_negative_start_is_used_as_given(dim, L, monkeypatch):
+    # a start weight of about -5e-16 is rounding (a carried basis can
+    # have one); the solve takes the basis as it is, without a cold restart
+    grid = sg.build_grid(dim, L)
+    start = rounding_negative_start(grid)
+    given = start.copy()
+    u = gb.random_body(2, dim, L, 0.1)
+    cold = gb.width_radii(u)
+    monkeypatch.setattr(gb, "_start_basis", no_cold_start)
+    wr = assert_radii_match_highs(u, (start, start))
+    assert (start == given).all()
+    assert abs(wr.rho_plus - cold.rho_plus) <= 1e-14
+    assert abs(wr.rho_minus - cold.rho_minus) <= 1e-14
+
+
+def test_start_below_rounding_is_refused():
+    grid = sg.build_grid(1, 16)
+    basis = gb._start_basis(grid.nodes)
+    basis[0] = basis[1] + 1  # two nodes on one side of the origin
+    with pytest.raises(RadiiNonConvergence) as exc:
+        gb.width_radii(gb.ball(grid), (basis, basis))
+    assert exc.value.gap == np.inf  # refused before any pivot
 
 
 def test_pivot_cap_ends_in_radii_nonconvergence(monkeypatch, tmp_path):

@@ -16,11 +16,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gaussflow import body as gb
+from gaussflow import cli
 from gaussflow import fileio
 from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
-from gaussflow.cli import build_parser, config_digest, main, resolve
+from gaussflow.cli import RunConfig, build_parser, config_digest, main, resolve
 from gaussflow.errors import StepFailure
 
 
@@ -502,6 +503,42 @@ class TestFlagRules:
         shared = {"--help", "--config", "--dim", "--bandlimit", "--out-dir"}
         assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == \
                shared | {f"--{f}" for f in flags.split()}
+
+
+class TestOneParser:
+    def test_a_call_sees_no_flag_of_an_earlier_one(self, tmp_path, monkeypatch):
+        # main builds the parser once per process and parses every argv
+        # into a fresh namespace: each call resolves its own flags only
+        seen = []
+        monkeypatch.setattr(cli, "_DISPATCH", dict.fromkeys(
+            cli._DISPATCH, lambda cfg: seen.append(cfg) or 0))
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("input = x.json\nt-end = 3\nstop-residual = none\n")
+        calls = [
+            ["sweep", "--dim", "2", "--alpha", "0.5,2", "--seeds", "4,5", "--workers",
+             "2", "--shape", "ball", "--symmetric"],
+            ["sweep", "--alpha", "1"],
+            ["make-body", "--seed", "7", "--normalize", "--out", "b.json"],
+            ["flow", "--config", str(cfg), "--alpha", "1"],
+            ["flow", "--input", "y.json", "--alpha", "2"],
+            ["make-body"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert main(["verify", "--bogus"]) == 3
+        assert main(["verify", "--suite", "ball"]) == 0
+        assert build_parser() is build_parser()
+        assert seen == [
+            RunConfig("sweep", dim=2, alpha=(0.5, 2.0), seeds=(4, 5), workers=2,
+                      shape="ball", symmetric=True),
+            RunConfig("sweep", alpha=(1.0,), shape="random"),
+            RunConfig("make-body", seed=7, normalize=True, out="b.json"),
+            RunConfig("flow", input="x.json", t_end=3.0, stop_residual=None,
+                      alpha=(1.0,)),
+            RunConfig("flow", input="y.json", alpha=(2.0,)),
+            RunConfig("make-body"),
+            RunConfig("verify", suite="ball"),
+        ]
 
 
 class TestConfigDigest:

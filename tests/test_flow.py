@@ -455,6 +455,39 @@ class TestRecentering:
         assert_allclose(res.samples[0][1].basepoint, u0.basepoint + zg, atol=1e-12)
 
 
+class TestWarmStartedRadii:
+    # each sample's radius solves start from the previous sample's optimal
+    # bases; bodies without symmetry, so the bases move between samples
+    RUNS = pytest.mark.parametrize("dim, L, kind", [
+        (1, 16, "normalized"), (1, 16, "unnormalized"),
+        (2, 8, "normalized"), (2, 8, "unnormalized"), (2, 32, "normalized")])
+
+    @staticmethod
+    def run(dim, L, kind):
+        u0 = gb.random_body(6, dim, L, 0.1)
+        t_end = 0.02 if L < 32 else 7e-5
+        res = gf.run(u0, kind, 1.0, t_end, sample_every=t_end / 4, stop_residual=None)
+        assert len(res.records) == 5
+        return res
+
+    @RUNS
+    def test_radii_equal_cold_solves(self, dim, L, kind):
+        res = self.run(dim, L, kind)
+        for rec, (_, u) in zip(res.records, res.samples):
+            cold = gb.width_radii(u)
+            assert abs(rec.rho_plus - cold.rho_plus) <= 1e-14 * max(1.0, abs(cold.rho_plus))
+            assert abs(rec.rho_minus - cold.rho_minus) <= 1e-14 * max(1.0, abs(cold.rho_minus))
+
+    @RUNS
+    def test_only_the_first_sample_starts_cold(self, dim, L, kind, monkeypatch):
+        calls = []
+        start_basis = gb._start_basis
+        monkeypatch.setattr(gb, "_start_basis",
+                            lambda nodes: calls.append(1) or start_basis(nodes))
+        self.run(dim, L, kind)
+        assert len(calls) == 2  # one outer and one inner solve
+
+
 class TestRescaledLimit:
     @pytest.mark.parametrize("alpha,t_end", [(0.5, 0.5), (2.0, 0.36)])
     def test_power_mean_about_limit_point(self, alpha, t_end):
