@@ -268,8 +268,8 @@ def rounding_negative_start(grid):
     (-1e-15, -1e-16): the first such basis in node order."""
     nodes, n = grid.nodes, grid.dim
     for i in range(grid.node_count):
-        for rest in zip(*(range(k, grid.node_count) for k in range(1, n + 1))):
-            basis = np.array([i, grid.antipode[i], *rest])
+        for k in range(grid.node_count - n):
+            basis = np.array([i, grid.antipode[i], *range(k, k + n)])
             M = np.vstack([np.ones(n + 2), nodes[basis].T])
             if len(set(basis)) < n + 2 or abs(np.linalg.det(M)) < 1e-3:
                 continue
