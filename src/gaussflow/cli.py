@@ -390,7 +390,9 @@ def _sweep_one(cfg: RunConfig, alpha: float, seed: int):
         return (alpha, seed, rr.steps, rr.stop_reason, last.soliton_res, haus,
                 gf.soliton_residual(final, alpha).lam, "ok")
     except (GaussFlowError, ValueError) as e:
-        return (alpha, seed, 0, "failed", math.nan, math.nan, math.nan,
+        partial = e.partial if isinstance(e, StepFailure) else None
+        steps = 0 if partial is None else partial.steps  # those before a failed step
+        return (alpha, seed, steps, "failed", math.nan, math.nan, math.nan,
                 f"failed:{type(e).__name__}")
 
 

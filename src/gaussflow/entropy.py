@@ -13,15 +13,18 @@ alpha < 0) is the entropy point; its stationarity condition is
 The solver is a damped Newton iteration with closed-form gradient and
 Hessian of the z-dependence; for alpha < 0 it minimizes the convex
 functional avg u_z^p (p = 1 - 1/alpha in (1, 2)), which has the same
-unique stationary point.
+unique stationary point. `entropy_points` runs it for several exponents
+at once, one row per exponent; `entropy_point` is its one-row case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 from . import sphere_grid as sg
@@ -32,6 +35,7 @@ __all__ = [
     "EntropyResult",
     "entropy_at",
     "entropy_point",
+    "entropy_points",
     "santalo_point",
     "SantaloPoint",
     "zalpha",
@@ -73,11 +77,15 @@ def _shifted(u: SupportFunction, z: NDArray) -> NDArray:
 def entropy_at(u: SupportFunction, z: NDArray, alpha: float) -> float:
     """Entropy of the body about basepoint + z."""
     alpha = _check_alpha(alpha)
-    uz = _shifted(u, z)
+    return _entropy(u.grid, _shifted(u, z), alpha)
+
+
+def _entropy(grid: sg.SphereGrid, uz: NDArray, alpha: float) -> float:
+    """Entropy from the support values uz about the chosen point."""
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return sg.average(u.grid, np.log(uz))
+        return sg.average(grid, np.log(uz))
     p = 1.0 - 1.0 / alpha
-    return alpha / (alpha - 1.0) * np.log(sg.average(u.grid, uz**p))
+    return alpha / (alpha - 1.0) * np.log(sg.average(grid, uz**p))
 
 
 def steiner_point(u: SupportFunction) -> NDArray:
@@ -87,68 +95,144 @@ def steiner_point(u: SupportFunction) -> NDArray:
     return n1 * (u.grid.weights * u.values) @ u.grid.nodes / sg.sphere_area(u.dim)
 
 
-def _moments(grid: sg.SphereGrid, uz: NDArray, alpha: float):
-    """Integrals entering the stationarity system: S = int u^p, g = int
-    u^(p-1) x, M = int u^(p-2) x x^T, with p = 1 - 1/alpha."""
-    p = 1.0 - 1.0 / alpha
-    w1 = grid.weights * uz ** (p - 1.0)
+def _moments(grid: sg.SphereGrid, uz: NDArray, pm1: NDArray):
+    """The stationarity system of each row of the (k, nodes) stack uz,
+    with pm1 the (k, 1) column of p - 1: S = int u^p, g = int u^(p-1) x,
+    M = int u^(p-2) x x^T, the normalizer int u^(p-1) = int u^(-1/alpha)
+    and the residual |g| / normalizer. A row's arithmetic is that of a
+    one-row stack."""
+    w1 = uz ** pm1
+    w1 *= grid.weights
     g = w1 @ grid.nodes
-    M = grid.nodes.T @ (grid.nodes * (w1 / uz)[:, None])
-    S = float(w1 @ uz)
-    scale = float(w1.sum())  # int u^(-1/alpha), the residual normalizer
-    return S, g, M, scale
+    M = grid.nodes.T @ (grid.nodes * (w1 / uz)[:, :, None])
+    scale = np.add.reduce(w1, axis=1)
+    return np.vecdot(w1, uz), g, M, scale, np.sqrt(np.vecdot(g, g)) / scale
+
+
+def _rows(a, at):
+    return a if at is None else a[at]
 
 
 def entropy_point(u: SupportFunction, alpha: float) -> EntropyResult:
-    """Locate the entropy point by damped Newton iteration.
+    """Locate the entropy point by damped Newton iteration: the one-row
+    case of `entropy_points`."""
+    return entropy_points(u, (alpha,))[0]
 
-    Stationarity is declared when |int x u_z^(-1/alpha)| <= 1e-10 times
-    int u_z^(-1/alpha). Backtracking keeps min u_z >= 0.1 * (current min)
-    so every iterate stays strictly interior.
+
+def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
+    """The entropy point of each exponent, all solved as one damped Newton
+    iteration that shares each moment evaluation and each (batched) solve.
+
+    Every exponent is a row with its own rules. It starts at the Steiner
+    point; it stops when |int x u_z^(-1/alpha)| <= 1e-13 times
+    int u_z^(-1/alpha), after MAX_ITER steps, or when no step helps; its
+    best residual must be at most GRAD_TOL. Its step halves until
+    min u_z > 0.1 * (its current min), so every iterate is strictly
+    interior, and is taken once it lowers the residual (any interior step
+    below a length of 1e-6). For alpha < 0 it is the descent Newton step
+    of the convex functional avg u^p; where the solve fails it is the
+    gradient direction. Raises NonConvergence for the first exponent, in
+    the given order, whose row does not converge.
     """
-    alpha = _check_alpha(alpha)
-    p = 1.0 - 1.0 / alpha
-    z = steiner_point(u)
-    uz = _shifted(u, z)
-    S, g, M, scale = _moments(u.grid, uz, alpha)
-    res = np.linalg.norm(g) / scale
-    best = (res, z, 0)
+    alphas = [_check_alpha(a) for a in alphas]
+    if not alphas:
+        return []
+    grid, values, nodes_t = u.grid, u.values, u.grid.nodes.T
+    # per row: alpha, p, p - 1 and the divisor of the solved step (-1 for
+    # ascent, p - 1 for descent)
+    table = np.array([(a, p, p - 1.0, p - 1.0 if a < 0.0 else -1.0)
+                      for a in alphas for p in (1.0 - 1.0 / a,)])
+    rows = list(range(len(alphas)))  # the exponents still iterating
+    found = [None] * len(alphas)  # per exponent: residual, point, u_z, iteration
+    best = {}  # per exponent: an earlier residual, point and iteration that may win
+
+    def constants():
+        c = table if len(rows) == len(alphas) else table[rows]
+        return (c[:, 0, None, None], c[:, 1], c[:, 2:3], c[:, 3:4],
+                [i for i, r in enumerate(rows) if alphas[r] < 0.0])
+
+    def retire(stop, it):
+        """Record the rows flagged in the list `stop` at iteration `it`."""
+        nonlocal rows, state, const
+        for pos, r in enumerate(rows):
+            if stop[pos]:
+                found[r] = (float(state[7][pos]), state[0][pos], state[1][pos], it)
+        rows = [r for r, s in zip(rows, stop) if not s]
+        if rows:
+            state = [a[~np.array(stop)] for a in state]
+            const = constants()
+
+    z = steiner_point(u)[None].repeat(len(rows), axis=0)
+    uz = values - z @ nodes_t
+    m = np.minimum.reduce(uz, axis=1)
+    if m[0] <= 0.0:
+        raise NotInterior(z[0], m[0])
+    const = constants()
+    # state of the rows still iterating: z, u_z, min u_z, S, g, M, scale, residual
+    state = [z, uz, m, *_moments(grid, uz, const[2])]
     for it in range(1, MAX_ITER + 1):
-        if res <= 1e-13:
-            break
-        fallback = (-g if alpha > 0 else g) / np.linalg.norm(g) * uz.min()
-        try:
-            if alpha > 0:
-                B = M / alpha + np.outer(g, g) * (p / S)
-                dz = -np.linalg.solve(B, g)
-            else:
-                # descent Newton for the convex functional avg u^p
-                dz = np.linalg.solve(M, g) / (p - 1.0)
-        except np.linalg.LinAlgError:
-            dz = fallback
-        if not np.isfinite(dz).all():
-            dz = fallback
-        floor = 0.1 * uz.min()
-        t = 1.0
+        stop = [r <= 1e-13 for r in state[7].tolist()]
+        if any(stop):
+            retire(stop, it)
+            if not rows:
+                break
+        z, uz, m, S, g, M, scale, res = state
+        a3, p, pm1, div, descent = const
+        # Newton step: B dz = -g with B = M/alpha + (p/S) g g^T (ascent,
+        # alpha > 0), or M dz = g/(p - 1) (descent, alpha < 0); the gufunc
+        # behind np.linalg.solve solves the stack, a singular row as NaN
+        B = M / a3 + g[:, :, None] * g[:, None, :] * (p / S)[:, None, None]
+        if descent:
+            B[descent] = M[descent]
+        dz = _umath_linalg.solve1(B, g, signature="dd->d") / div
+        if not all(map(math.isfinite, dz.ravel().tolist())):
+            for i in np.flatnonzero(~np.isfinite(dz).all(axis=1)).tolist():
+                dz[i] = (-g[i] if a3[i, 0, 0] > 0 else g[i]) / np.linalg.norm(g[i]) * m[i]
+        floor = 0.1 * m
+        t, look = 1.0, None  # the rows still looking for a step (None: all)
         for _ in range(60):
-            z_new = z + t * dz
-            uz_new = u.values - u.grid.nodes @ z_new
-            if uz_new.min() > floor:
-                S2, g2, M2, scale2 = _moments(u.grid, uz_new, alpha)
-                res2 = np.linalg.norm(g2) / scale2
-                if res2 < res or t < 1e-6:
-                    z, uz, S, g, M, scale, res = z_new, uz_new, S2, g2, M2, scale2, res2
+            z_try = _rows(z, look) + t * _rows(dz, look)
+            uz_try = values - z_try @ nodes_t
+            m_try = np.minimum.reduce(uz_try, axis=1)
+            inside = m_try > _rows(floor, look)
+            at = look  # the rows tried whose step is interior (None: all)
+            if not all(inside.tolist()):
+                at = _rows(np.arange(len(rows)), look)[inside]
+                z_try, uz_try, m_try = z_try[inside], uz_try[inside], m_try[inside]
+            if at is None or at.size:
+                trial = [z_try, uz_try, m_try, *_moments(grid, uz_try, _rows(pm1, at))]
+                lower = trial[7] < _rows(res, at)
+                if at is None and all(lower.tolist()):
+                    state, look = trial, ()
+                    break
+                at = np.arange(len(rows)) if at is None else at
+                if t < 1e-6:  # take the step anyway; the iterate it leaves may stay best
+                    for pos in at[~lower].tolist():
+                        if res[pos] < best.get(rows[pos], (math.inf,))[0]:
+                            best[rows[pos]] = (float(res[pos]), z[pos].copy(), it - 1)
+                    lower[:] = True
+                for a, b in zip(state, trial):
+                    a[at[lower]] = b[lower]
+                look = np.setdiff1d(np.arange(len(rows)) if look is None else look, at[lower])
+                if not look.size:
                     break
             t *= 0.5
-        else:
-            break  # no usable step; stop with current best
-        if res < best[0]:
-            best = (res, z, it)
-    res, z, it = best if best[0] < res else (res, z, it)
-    if res > GRAD_TOL:
-        raise NonConvergence(it, res)
-    return EntropyResult(value=entropy_at(u, z, alpha), point=z,
-                         gradient_norm=res, iterations=it)
+        if look is None or len(look):  # no usable step: these rows stop
+            retire([look is None or pos in look for pos in range(len(rows))], it)
+            if not rows:
+                break
+    else:
+        retire([True] * len(rows), MAX_ITER)
+    results = []
+    for r, (alpha, (res, z, uz, it)) in enumerate(zip(alphas, found)):
+        if r in best and best[r][0] < res:
+            res, z, it = best[r]
+            uz = _shifted(u, z)
+        if res > GRAD_TOL:
+            raise NonConvergence(it, res)
+        results.append(EntropyResult(value=_entropy(grid, uz, alpha), point=z,
+                                     gradient_norm=res, iterations=it))
+    return results
 
 
 class SantaloPoint(NamedTuple):

@@ -75,9 +75,11 @@ class RadiiNonConvergence(GaussFlowError):
 
 class StepFailure(GaussFlowError):
     """A flow step kept losing convexity/positivity after max halvings,
-    or its dt no longer advances the clock."""
+    or its dt no longer advances the clock. `flow.run` sets `partial` to
+    the run up to the failure."""
 
     def __init__(self, node: int | None, dt: float, rejections: int):
+        self.partial = None
         self.node = node
         self.dt = float(dt)
         self.rejections = int(rejections)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -152,12 +153,25 @@ def write_trajectory(path, records, dim: int, digest: str = "none") -> None:
     _write_csv(path, digest, columns, row * len(records) % tuple(fields))
 
 
+def _inputs_texts(reports, render) -> list[str]:
+    """render(r.inputs) of each report; a dict that several reports share
+    (`inequalities.body_checks` gives one to the rows of an exponent) is
+    rendered once."""
+    memo, texts = {}, []
+    for r in reports:
+        text = memo.get(id(r.inputs))
+        if text is None:
+            text = memo[id(r.inputs)] = render(r.inputs)
+        texts.append(text)
+    return texts
+
+
 def write_checks_csv(path, reports, digest: str = "none") -> None:
     """Check reports as CSV; the inputs dict is JSON in the last column."""
     fields = []
-    for r in reports:
+    for r, inputs in zip(reports, _inputs_texts(reports, lambda d: _csv_text(_sorted_json(d)))):
         fields += (_csv_text(r.name), str(r.passed).lower(), r.lhs, r.rhs, r.slack,
-                   r.tolerance, _csv_text(_sorted_json(r.inputs)))
+                   r.tolerance, inputs)
     _write_csv(path, digest, ["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"],
                "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\n" * len(reports) % tuple(fields))
 
@@ -173,25 +187,39 @@ def write_sweep(path, rows, digest: str = "none") -> None:
                "%.17g,%s,%s,%s,%.17g,%.17g,%.17g,%s\n" * len(rows) % tuple(fields))
 
 
+# A checks.json report row as `_render_json` writes it, its values in key
+# order (inputs, lhs, name, passed, rhs, slack, tolerance): every value as
+# text, or the four numbers as finite floats.
+_REPORT_ROW = ('{"inputs": %s, "lhs": %s, "name": %s, "passed": %s, "rhs": %s, '
+               '"slack": %s, "tolerance": %s}')
+_FINITE_ROW = ('{"inputs": %s, "lhs": %.17g, "name": %s, "passed": %s, "rhs": %.17g, '
+               '"slack": %.17g, "tolerance": %.17g}')
+
+
 def write_checks_json(path, reports, digest: str = "none") -> None:
     """Check reports as one JSON document with an overall verdict
-    (informational "(reported)" rows do not gate it)."""
+    (informational "(reported)" rows do not gate it). The bytes are those
+    of `_render_json` on the document; each row is one format call, and
+    each distinct inputs dict is rendered once."""
     gating = [r for r in reports if "(reported)" not in r.name]
-    doc = {
-        "format": CHECKS_FORMAT,
-        "version": __version__,
-        "config": digest,
-        "passed": all(r.passed for r in gating),
-        "checks": len(reports),
-        "failures": sum(not r.passed for r in gating),
-        "reports": [
-            {"name": r.name, "inputs": r.inputs, "lhs": r.lhs, "rhs": r.rhs,
-             "slack": r.slack, "tolerance": r.tolerance, "passed": r.passed}
-            for r in reports
-        ],
-    }
+    rows = []
+    for r, inputs in zip(reports, _inputs_texts(reports, _render_json)):
+        if (type(r.lhs) is type(r.rhs) is type(r.slack) is type(r.tolerance) is float
+                and type(r.name) is str and type(r.passed) is bool
+                and math.isfinite(r.lhs + r.rhs + r.slack + r.tolerance)):
+            rows.append(_FINITE_ROW % (inputs, r.lhs, _json_str(r.name),
+                                       "true" if r.passed else "false",
+                                       r.rhs, r.slack, r.tolerance))
+        else:  # NaN, infinities and other types as _render_json writes them
+            rows.append(_REPORT_ROW % (inputs, *map(_render_json, (
+                r.lhs, r.name, r.passed, r.rhs, r.slack, r.tolerance))))
+    doc = ('{"checks": %d, "config": %s, "failures": %d, "format": %s, "passed": %s, '
+           '"reports": [%s], "version": %s}\n') % (
+        len(reports), _json_str(digest), sum(not r.passed for r in gating),
+        _json_str(CHECKS_FORMAT), _render_json(all(r.passed for r in gating)),
+        ", ".join(rows), _json_str(__version__))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_render_json(doc) + "\n")
+        f.write(doc)
 
 
 _PALETTE = ["#1f4e79", "#2e75b6", "#5b9bd5", "#9dc3e6", "#c55a11",
@@ -230,9 +258,11 @@ def write_svg(path, curves, digest: str = "none") -> None:
         f.write("\n".join(lines) + "\n")
 
 
+@lru_cache(maxsize=8)
 def _obj_faces(bandlimit: int) -> str:
     """Face lines of the OBJ mesh at a bandlimit: a fan about each pole
-    vertex and two triangles per quad between neighbouring rings."""
+    vertex and two triangles per quad between neighbouring rings. They
+    depend on the bandlimit only, so they are made once per bandlimit."""
     nt, nphi = bandlimit + 1, 2 * bandlimit + 2
     M = nt * nphi  # index of the first pole vertex
     ring = np.arange(nt)[:, None] * nphi  # index of each ring's first vertex

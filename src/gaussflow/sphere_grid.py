@@ -280,6 +280,15 @@ def _legendre_tables(L: int, theta: NDArray, derivatives: bool = False):
     return P, dP, d2P
 
 
+@lru_cache(maxsize=8)
+def _pole_legendre(L: int) -> NDArray:
+    """`_legendre_tables` at the two poles (colatitudes 0 and pi), where
+    `fileio.write_obj` evaluates every body; read-only, made once per L."""
+    P = _legendre_tables(L, np.array([0.0, np.pi]))
+    P.setflags(write=False)
+    return P
+
+
 def _sphere_analysis(grid: SphereGrid, values: NDArray) -> NDArray:
     """Harmonic coefficients of sphere node values as per-order pairs,
     shape (L+1, L+1, 2) indexed [m, l]: a Fourier transform along each
@@ -322,9 +331,12 @@ def build_grid(dim: int, bandlimit: int) -> SphereGrid:
     return _build_grid_cached(dim, int(bandlimit))
 
 
-def _check_values(grid: SphereGrid, values: NDArray) -> NDArray:
+def _check_values(grid: SphereGrid, values: NDArray, stack: bool = False) -> NDArray:
+    """values as a float array of one field, or also of a (k, nodes)
+    stack of fields if `stack`."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.node_count,):
+    if values.shape != (grid.node_count,) and not (
+            stack and values.ndim == 2 and values.shape[1] == grid.node_count):
         raise ValueError(
             f"values shape {values.shape} does not match grid with {grid.node_count} nodes"
         )
@@ -345,34 +357,38 @@ def analyze(grid: SphereGrid, values: NDArray) -> NDArray:
     """Expand node values in the orthonormal spectral basis.
 
     Circle layout: [constant, cos(1..L), sin(1..L)] scaled to unit L2 norm;
-    sphere layout: real harmonics packed as b = l^2 + l + m.
+    sphere layout: real harmonics packed as b = l^2 + l + m. On the
+    circle `values` may also be a (k, nodes) stack of fields, which gives
+    one row of coefficients per field.
     """
-    values = _check_values(grid, values)
+    values = _check_values(grid, values, stack=grid.dim == 1)
     if grid.dim == 2:
         pairs = _sphere_analysis(grid, values)
         return pairs.ravel()[grid._pair_index]
     N, L = grid.node_count, grid.bandlimit
     ch = np.fft.rfft(values)
-    out = np.empty(2 * L + 1)
-    out[0] = ch[0].real * np.sqrt(2.0 * np.pi) / N
-    out[1: L + 1] = 2.0 * ch[1: L + 1].real * np.sqrt(np.pi) / N
-    out[L + 1:] = -2.0 * ch[1: L + 1].imag * np.sqrt(np.pi) / N
+    out = np.empty(values.shape[:-1] + (2 * L + 1,))
+    out[..., 0] = ch[..., 0].real * np.sqrt(2.0 * np.pi) / N
+    out[..., 1: L + 1] = 2.0 * ch[..., 1: L + 1].real * np.sqrt(np.pi) / N
+    out[..., L + 1:] = -2.0 * ch[..., 1: L + 1].imag * np.sqrt(np.pi) / N
     return out
 
 
 def synthesize(grid: SphereGrid, coeffs: NDArray) -> NDArray:
-    """Evaluate a coefficient vector (layout as in `analyze`) on the nodes."""
+    """Evaluate a coefficient vector (layout as in `analyze`) on the nodes;
+    on the circle a (k, coefficients) stack gives one row per vector."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (grid.coeff_count,):
+    if coeffs.shape[-1:] != (grid.coeff_count,) or coeffs.ndim > 1 + (grid.dim == 1):
         raise ValueError(f"expected {grid.coeff_count} coefficients, got {coeffs.shape}")
     N, L = grid.node_count, grid.bandlimit
     if grid.dim == 2:
         pairs = np.zeros((L + 1, L + 1, 2))
         pairs.ravel()[grid._pair_index] = coeffs
         return _sphere_synthesis(grid, pairs, _VALUE)[0]
-    ch = np.zeros(N // 2 + 1, dtype=complex)
-    ch[0] = coeffs[0] * N / np.sqrt(2.0 * np.pi)
-    ch[1: L + 1] = (coeffs[1: L + 1] - 1j * coeffs[L + 1:]) * N / (2.0 * np.sqrt(np.pi))
+    ch = np.zeros(coeffs.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    ch[..., 0] = coeffs[..., 0] * N / np.sqrt(2.0 * np.pi)
+    ch[..., 1: L + 1] = ((coeffs[..., 1: L + 1] - 1j * coeffs[..., L + 1:])
+                         * N / (2.0 * np.sqrt(np.pi)))
     return np.fft.irfft(ch, n=N)
 
 
@@ -584,7 +600,8 @@ def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,
         if phis is None:
             raise ValueError("phis required for sphere grids")
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
-        P = _legendre_tables(L, thetas)
+        P = (_pole_legendre(L) if thetas.tolist() == [0.0, np.pi]
+             else _legendre_tables(L, thetas))
         angle = np.arange(L + 1)[:, None] * phis
         cos_m, sin_m = np.cos(angle), np.sin(angle)
 

@@ -342,6 +342,25 @@ class TestSweep:
         row = (tmp_path / "sweep.csv").read_text().splitlines()[2]
         assert row.endswith("failed:StepFailure")
 
+    def test_failed_row_reports_steps_taken(self, tmp_path, monkeypatch):
+        real_step = gf.step
+        taken = []
+
+        def fail_after_five(state, dt):
+            if len(taken) == 5:
+                raise StepFailure(7, dt, 12)
+            taken.append(dt)
+            return real_step(state, dt)
+
+        monkeypatch.setattr(gf, "step", fail_after_five)
+        rc = main(["sweep", "--alpha", "1", "--seeds", "0", "--dim", "1",
+                   "--bandlimit", "8", "--t-end", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert row[2] == "5"
+        assert row[3] == "failed"
+        assert row[7] == "failed:StepFailure"
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):

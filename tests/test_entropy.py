@@ -4,8 +4,9 @@ from numpy.testing import assert_allclose
 
 from gaussflow import body as gb
 from gaussflow import entropy as ge
+from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
-from gaussflow.errors import AlphaZero, NotInterior
+from gaussflow.errors import AlphaZero, NonConvergence, NotInterior
 
 ALPHAS = [-1.0, 0.25, 0.5, 1.0, 2.0, 5.0]
 
@@ -166,3 +167,68 @@ def test_entropy_decreases_away_from_entropy_point_along_lines():
     d = np.array([0.6, 0.8])
     vals = [ge.entropy_at(u, res.point + t * d, 1.0) for t in (0.0, 0.05, 0.1, 0.15)]
     assert all(b < a + 1e-14 for a, b in zip(vals, vals[1:]))
+
+
+class TestStackedSolve:
+    """entropy_points solves a body's whole exponent grid as one Newton
+    iteration; each row must give its one-exponent solve."""
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_rows_match_one_exponent_solves(self, dim, L):
+        alphas = gi.alpha_grid(dim)
+        for seed in range(20):
+            u = gb.random_body(seed, dim, L, 0.1)
+            for alpha, row in zip(alphas, ge.entropy_points(u, alphas)):
+                one = ge.entropy_point(u, alpha)
+                assert np.abs(row.point - one.point).max() <= 1e-14
+                assert abs(row.value - one.value) <= 1e-14
+                assert row.iterations == one.iterations
+                assert row.gradient_norm <= ge.GRAD_TOL
+
+    def test_one_row_is_entropy_point(self):
+        u = gb.random_body(3, 2, 8, 0.1)
+        (row,) = ge.entropy_points(u, [0.5])
+        one = ge.entropy_point(u, 0.5)
+        assert np.array_equal(row.point, one.point)
+        assert row.value == one.value
+
+    def test_empty_and_repeated_exponents(self):
+        u = gb.random_body(4, 1, 16, 0.1)
+        assert ge.entropy_points(u, []) == []
+        a, b = ge.entropy_points(u, [2.0, 2.0])
+        assert np.array_equal(a.point, b.point)
+
+    def test_first_unconverged_exponent_raises(self, monkeypatch):
+        # with one iteration, the 1/3 and 1/2 rows of this body stop short
+        # while the -1 row (first in grid order) converges
+        u = gb.random_body(6, 1, 16, 0.1)
+        alphas = gi.alpha_grid(1)
+        monkeypatch.setattr(ge, "MAX_ITER", 1)
+        errors = {}
+        for alpha in alphas:
+            try:
+                ge.entropy_point(u, alpha)
+            except NonConvergence as e:
+                errors[alpha] = e
+        assert list(errors) == [1.0 / 3.0, 0.5]
+        with pytest.raises(NonConvergence) as caught:
+            ge.entropy_points(u, alphas)
+        first = errors[1.0 / 3.0]
+        assert caught.value.iterations == first.iterations == 1
+        assert caught.value.gradient_norm == pytest.approx(first.gradient_norm, rel=1e-9)
+        assert caught.value.gradient_norm != pytest.approx(errors[0.5].gradient_norm)
+
+    def test_no_iterations_raises_for_the_first_exponent(self, monkeypatch):
+        # the Steiner point is the alpha = -1 point (p = 2), so only that
+        # row is stationary before any step
+        u = gb.random_body(2, 2, 8, 0.1)
+        alphas = gi.alpha_grid(2)
+        monkeypatch.setattr(ge, "MAX_ITER", 0)
+        assert ge.entropy_point(u, alphas[0]).iterations == 0
+        with pytest.raises(NonConvergence) as first:
+            ge.entropy_point(u, alphas[1])
+        with pytest.raises(NonConvergence) as caught:
+            ge.entropy_points(u, alphas)
+        assert caught.value.iterations == 0
+        assert caught.value.gradient_norm == pytest.approx(first.value.gradient_norm,
+                                                           rel=1e-12)

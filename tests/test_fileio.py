@@ -15,6 +15,7 @@ from gaussflow import __version__
 from gaussflow import body as gb
 from gaussflow import fileio
 from gaussflow import flow as gf
+from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.errors import ConvexityLost
 from gaussflow.inequalities import CheckReport
@@ -415,6 +416,29 @@ class TestAgainstReferenceWriters:
                             "slack": r.slack, "tolerance": r.tolerance, "passed": r.passed}
                            for r in reports]}
         assert p.read_bytes() == (ref_render_json(doc) + "\n").encode()
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_checks_of_a_verify_run(self, tmp_path, dim, L):
+        # rows as `verify` makes them: a body's checks, whose rows share
+        # inputs dicts, then a solver failure's NaN check-error row
+        reports = gi.body_checks(gb.random_body(0, dim, L, 0.1), gi.alpha_grid(dim)) + [
+            CheckReport(name="check-error", inputs={"seed": 7, "error": "no convergence after "
+                                                    "0 iterations (residual 1.393e-04)"},
+                        lhs=math.nan, rhs=math.nan, slack=math.nan, tolerance=0.0,
+                        passed=False)]
+        p = tmp_path / "c.json"
+        fileio.write_checks_json(p, reports, "beef")
+        gating = [r for r in reports if "(reported)" not in r.name]
+        doc = {"format": "gaussflow-checks", "version": __version__, "config": "beef",
+               "passed": all(r.passed for r in gating), "checks": len(reports),
+               "failures": sum(not r.passed for r in gating),
+               "reports": [{"name": r.name, "inputs": r.inputs, "lhs": r.lhs, "rhs": r.rhs,
+                            "slack": r.slack, "tolerance": r.tolerance, "passed": r.passed}
+                           for r in reports]}
+        assert p.read_bytes() == (ref_render_json(doc) + "\n").encode()
+        p = tmp_path / "c.csv"
+        fileio.write_checks_csv(p, reports, "beef")
+        assert p.read_bytes() == ref_checks_csv_text(reports, "beef").encode()
 
     def test_checks_csv(self, tmp_path):
         reports = edge_reports() + sample_reports()

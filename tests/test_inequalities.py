@@ -9,6 +9,7 @@ mixed-volume identity and (n=1) reconstructed explicitly.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from gaussflow import entropy as ge
 from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
-from gaussflow.errors import CompatibilityViolation, NotASoliton, UnsupportedDimension
+from gaussflow.cli import main
+from gaussflow.errors import (CompatibilityViolation, ConvexityLost, NotASoliton,
+                              UnsupportedDimension)
 
 BALL_L = {1: 16, 2: 8}
 
@@ -299,6 +302,44 @@ def test_width_constants_sharp_on_smoothed_triangle():
     assert 0.0 <= jung.slack < 1e-2 * jung.lhs
 
 
+def smoothed_tetrahedron(eps=0.1, L=48):
+    """u = eps log sum_i exp(<x, v_i>/eps) + 0.01 over the vertices v_i of
+    the regular tetrahedron inscribed in the unit sphere, which attains
+    Jung's constant in R^3."""
+    grid = sg.build_grid(2, L)
+    vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+    lse = eps * np.log(np.exp(grid.nodes @ vertices.T / eps).sum(axis=1))
+    return gb.SupportFunction(grid, lse + 0.01)
+
+
+def test_jung_row_near_equality_on_smoothed_tetrahedron():
+    jung = gi.check_width_bounds(smoothed_tetrahedron())[1]
+    assert jung.name == "outradius-vs-max-width-factor"
+    assert jung.passed
+    assert 0.0 <= jung.slack <= 3e-3 * jung.lhs
+
+
+@pytest.mark.filterwarnings("ignore:field is marginally resolved")
+def test_smoothed_tetrahedron_under_resolved_loses_convexity():
+    with pytest.raises(ConvexityLost):
+        smoothed_tetrahedron(L=16)
+
+
+def one_exponent_checks(u, alphas):
+    """The rows of body_checks, each check made alone with its own
+    entropy solve."""
+    n = u.dim
+    reports = [gi.check_blaschke_santalo(u), *gi.check_width_bounds(u),
+               gi.check_affine_isoperimetric(u)]
+    for alpha in alphas:
+        reports.append(gi.check_entropy_nonneg(u, alpha))
+        if alpha >= 1.0 / (n + 2) - 1e-12:
+            reports.append(gi.check_z_vs_entropy(u, alpha))
+        if n == 1 and (alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0):
+            reports.append(gi.check_entropy_stability(u, alpha))
+    return reports
+
+
 class TestBodyChecks:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_fuzz_suite_is_body_checks(self, dim):
@@ -307,6 +348,31 @@ class TestBodyChecks:
         direct = gi.body_checks(gb.random_body(3, dim, L, 0.1), gi.alpha_grid(dim))
         assert [(r.name, r.lhs, r.rhs) for r in fuzz] == \
                [(r.name, r.lhs, r.rhs) for r in direct]
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_one_pass_matches_one_check_at_a_time(self, dim, L):
+        alphas = gi.alpha_grid(dim)
+        for seed in range(20):
+            u = gb.random_body(seed, dim, L, 0.1)
+            stacked = gi.body_checks(u, alphas)
+            alone = one_exponent_checks(u, alphas)
+            assert [(r.name, r.inputs, r.passed) for r in stacked] == \
+                   [(r.name, r.inputs, r.passed) for r in alone]
+            for a, b in zip(stacked, alone):
+                for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
+                    assert abs(x - y) <= 1e-14 * max(1.0, abs(y)), (a.name, x, y)
+
+    def test_unconverged_entropy_point_is_one_check_error_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ge, "MAX_ITER", 0)
+        rc = main(["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit", "16",
+                   "--seeds", "3,4", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        doc = json.loads((tmp_path / "checks.json").read_text())
+        assert [r["name"] for r in doc["reports"]] == ["check-error", "check-error"]
+        assert [r["inputs"]["seed"] for r in doc["reports"]] == [3, 4]
+        assert all("no convergence after 0 iterations" in r["inputs"]["error"]
+                   for r in doc["reports"])
+        assert all(math.isnan(r["lhs"]) for r in doc["reports"])
 
 
 class TestValidation:

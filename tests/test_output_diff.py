@@ -26,6 +26,7 @@ def test_numeric_differences_and_flags(tmp_path):
     write_tree(tmp_path / "a", {
         "w-0/jobs/x/same.csv": header + "1.5,-2e-3,ok\n",
         "w-0/jobs/x/rounding.csv": header + "1.0000000000000002,nan,-inf\n",
+        "w-0/jobs/x/large.csv": header + "-4000,4e-3,ok\n",
         "w-0/jobs/y/body.json": '{"values": [1, 2.5, 3]}\n',
         "w-0/jobs/y/text.csv": header + "1,2,ok\n",
         "w-0/jobs/y/gone.svg": "<svg/>\n",
@@ -33,18 +34,21 @@ def test_numeric_differences_and_flags(tmp_path):
     write_tree(tmp_path / "b", {
         "w-0/jobs/x/same.csv": header + "1.5,-2e-3,ok\n",
         "w-0/jobs/x/rounding.csv": header + "1,nan,-inf\n",
+        "w-0/jobs/x/large.csv": header + "-4000.004,4.0001e-3,ok\n",
         "w-0/jobs/y/body.json": '{"values": [1, 2.5, 3, 4]}\n',
         "w-0/jobs/y/text.csv": header + "1,2,failed\n",
     })
     code, lines, total = run_tool(tmp_path / "a", tmp_path / "b")
     assert code == 1
     # the version, the hex digest and ze_0 are text; a sign is the number's
-    assert lines["w-0/jobs/x/same.csv"] == "tokens=2 max_abs=0"
-    assert lines["w-0/jobs/x/rounding.csv"] == "tokens=3 max_abs=2.22e-16"
+    assert lines["w-0/jobs/x/same.csv"] == "tokens=2 max_abs=0 max_rel=0"
+    assert lines["w-0/jobs/x/rounding.csv"] == "tokens=3 max_abs=2.22e-16 max_rel=2.22e-16"
+    # relative to |a| above 1 (4e-3 at 4000), absolute below it (1e-7 at 4e-3)
+    assert lines["w-0/jobs/x/large.csv"] == "tokens=2 max_abs=0.004 max_rel=1e-06"
     assert "FLAG: token count 3 != 4" in lines["w-0/jobs/y/body.json"]
     assert "FLAG: text differs" in lines["w-0/jobs/y/text.csv"]
     assert "FLAG: only in A" in lines["w-0/jobs/y/gone.svg"]
-    assert total == "files=5 changed=1 flagged=3 max_abs=2.22e-16"
+    assert total == "files=6 changed=2 flagged=3 max_abs=0.004 max_rel=1e-06"
 
 
 def test_identical_trees_exit_zero(tmp_path):
@@ -53,4 +57,4 @@ def test_identical_trees_exit_zero(tmp_path):
     write_tree(tmp_path / "b", files)
     code, lines, total = run_tool(tmp_path / "a", tmp_path / "b")
     assert code == 0
-    assert total == "files=2 changed=0 flagged=0 max_abs=0"
+    assert total == "files=2 changed=0 flagged=0 max_abs=0 max_rel=0"

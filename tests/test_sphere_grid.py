@@ -245,6 +245,37 @@ def test_evaluate_at_stack_is_rowwise(dim, L):
         np.testing.assert_array_equal(row, sg.evaluate_at(grid, field, thetas, phis))
 
 
+def test_circle_analyze_and_synthesize_stacks_are_rowwise():
+    grid = sg.build_grid(1, 16)
+    fields = np.array([random_field(grid, seed=s) for s in (4, 5, 6)])
+    coeffs = sg.analyze(grid, fields)
+    assert coeffs.shape == (3, grid.coeff_count)
+    back = sg.synthesize(grid, coeffs)
+    assert back.shape == fields.shape
+    for c, b, field in zip(coeffs, back, fields):
+        one = sg.analyze(grid, field)
+        assert_allclose(c, one, rtol=0, atol=1e-15)
+        assert_allclose(b, sg.synthesize(grid, one), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError):
+        sg.analyze(grid, fields[None])
+    with pytest.raises(ValueError):
+        sg.synthesize(grid, coeffs[:, :-1])
+    sphere = sg.build_grid(2, 8)
+    with pytest.raises(ValueError):
+        sg.analyze(sphere, np.ones((2, sphere.node_count)))
+    with pytest.raises(ValueError):
+        sg.synthesize(sphere, np.ones((2, sphere.coeff_count)))
+
+
+def test_pole_evaluation_uses_the_cached_table():
+    grid = sg.build_grid(2, 12)
+    u = random_field(grid, seed=8)
+    poles = sg.evaluate_at(grid, u, [0.0, np.pi], [0.0, 0.0])
+    assert not sg._pole_legendre(12).flags.writeable
+    near = sg.evaluate_at(grid, u, [0.0, np.pi, 1.0], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(poles, near[:2])
+
+
 def test_build_grid_is_cached():
     assert sg.build_grid(1, 8) is sg.build_grid(1, 8)
 

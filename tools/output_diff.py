@@ -3,9 +3,11 @@
 Where two checkouts' digests differ, this says by how much. For every
 output file under either tree it prints one line: the file's path
 relative to the tree, the count of numeric tokens, and the largest
-absolute difference between corresponding numeric tokens. A line is
-flagged when the two files hold different numbers of tokens, differ in
-any non-numeric text, or exist on one side only:
+absolute and relative differences between corresponding numeric tokens
+a (first tree) and b, max_abs = max |a - b| and max_rel =
+max |a - b| / max(1, |a|). A line is flagged when the two files hold
+different numbers of tokens, differ in any non-numeric text, or exist on
+one side only:
 
     python3 tools/output_digest.py --work /tmp/digest --repo ../parent
     mv /tmp/digest /tmp/digest-parent
@@ -44,12 +46,19 @@ def difference(a: float, b: float) -> float:
     return abs(a - b) if math.isfinite(a - b) else math.inf
 
 
-def compare(a: Path | None, b: Path | None) -> tuple[int, float, list[str]]:
-    """Token count, largest absolute difference and flags of one file pair."""
+def relative(a: float, b: float) -> float:
+    """|a - b| / max(1, |a|): the absolute difference below 1, relative above."""
+    d = difference(a, b)
+    return d / max(1.0, abs(a)) if math.isfinite(d) else d
+
+
+def compare(a: Path | None, b: Path | None) -> tuple[int, float, float, list[str]]:
+    """Token count, largest absolute and relative differences, and flags
+    of one file pair."""
     if a is None or b is None:
-        return 0, 0.0, ["only in " + ("B" if a is None else "A")]
+        return 0, 0.0, 0.0, ["only in " + ("B" if a is None else "A")]
     if a.read_bytes() == b.read_bytes():
-        return len(split(a.read_text(encoding="utf-8"))[1]), 0.0, []
+        return len(split(a.read_text(encoding="utf-8"))[1]), 0.0, 0.0, []
     text_a, values_a = split(a.read_text(encoding="utf-8"))
     text_b, values_b = split(b.read_text(encoding="utf-8"))
     flags = []
@@ -57,8 +66,9 @@ def compare(a: Path | None, b: Path | None) -> tuple[int, float, list[str]]:
         flags.append(f"token count {len(values_a)} != {len(values_b)}")
     elif text_a != text_b:
         flags.append("text differs")
-    largest = max((difference(x, y) for x, y in zip(values_a, values_b)), default=0.0)
-    return len(values_a), largest, flags
+    pairs = list(zip(values_a, values_b))
+    return (len(values_a), max((difference(x, y) for x, y in pairs), default=0.0),
+            max((relative(x, y) for x, y in pairs), default=0.0), flags)
 
 
 def main(argv=None) -> int:
@@ -71,16 +81,18 @@ def main(argv=None) -> int:
             parser.error(f"{root} is not a directory")
     files = sorted({p.relative_to(root) for root in (args.a, args.b)
                     for p in root.rglob("*") if p.is_file()})
-    flagged, changed, overall = 0, 0, 0.0
+    flagged, changed, overall, overall_rel = 0, 0, 0.0, 0.0
     for rel in files:
         a, b = args.a / rel, args.b / rel
-        count, largest, flags = compare(a if a.is_file() else None, b if b.is_file() else None)
+        count, largest, largest_rel, flags = compare(a if a.is_file() else None,
+                                                     b if b.is_file() else None)
         flagged += bool(flags)
         changed += largest > 0.0
-        overall = max(overall, largest)
-        print(f"{rel} tokens={count} max_abs={largest:.3g}"
+        overall, overall_rel = max(overall, largest), max(overall_rel, largest_rel)
+        print(f"{rel} tokens={count} max_abs={largest:.3g} max_rel={largest_rel:.3g}"
               + "".join(f" FLAG: {f}" for f in flags))
-    print(f"files={len(files)} changed={changed} flagged={flagged} max_abs={overall:.3g}")
+    print(f"files={len(files)} changed={changed} flagged={flagged} max_abs={overall:.3g} "
+          f"max_rel={overall_rel:.3g}")
     return 1 if flagged else 0
 
 
