@@ -24,8 +24,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
+
+try:  # the gufunc np.linalg.solve runs for a vector right-hand side
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    _solve1 = None
 
 from . import sphere_grid as sg
 from .body import SupportFunction, curvature_data, dual_volume
@@ -109,8 +113,92 @@ def _moments(grid: sg.SphereGrid, uz: NDArray, pm1: NDArray):
     return np.vecdot(w1, uz), g, M, scale, np.sqrt(np.vecdot(g, g)) / scale
 
 
-def _rows(a, at):
-    return a if at is None else a[at]
+class _Exponents(NamedTuple):
+    """The rows of a stacked solve still iterating, each field shaped to
+    broadcast against the row stacks it meets: the exponent's place in
+    the caller's order, alpha, p = 1 - 1/alpha and p - 1, whether the row
+    takes the descent step (alpha < 0), and the divisor of its solved
+    step (-1 for ascent, p - 1 for descent)."""
+
+    index: NDArray  # (k,)
+    alpha: NDArray  # (k, 1, 1)
+    p: NDArray  # (k,)
+    pm1: NDArray  # (k, 1)
+    descent: NDArray  # (k, 1, 1)
+    div: NDArray  # (k, 1)
+
+
+class _Iterates(NamedTuple):
+    """One iterate per row: the point z, the support values u_z about it
+    and their minimum, and the `_moments` there."""
+
+    z: NDArray
+    uz: NDArray
+    m: NDArray
+    S: NDArray
+    g: NDArray
+    M: NDArray
+    scale: NDArray
+    res: NDArray
+
+
+def _take(rows, keep):
+    """The rows `keep` (a mask or an index array) of every field."""
+    return type(rows)(*(a[keep] for a in rows))
+
+
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _solve1_quiet(B: NDArray, g: NDArray) -> NDArray:
+    return _solve1(B, g, signature="dd->d")
+
+
+def _solve(B: NDArray, g: NDArray) -> NDArray:
+    """B^-1 g for each row of the stacks B and g; a row whose matrix is
+    singular (or not finite) is NaN, without a warning. The stack is one
+    call of the gufunc behind np.linalg.solve, under the errstate that
+    np.linalg.solve sets but without its per-call checks; where numpy has
+    no such gufunc, np.linalg.solve itself, row by row if a row fails."""
+    if _solve1 is not None:
+        return _solve1_quiet(B, g)
+    try:
+        return np.linalg.solve(B, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(g, np.nan)
+        for i in range(len(g)):
+            try:
+                out[i] = np.linalg.solve(B[i], g[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton_steps(ex: _Exponents, at: _Iterates, descent: bool = True) -> NDArray:
+    """The step of each row: B dz = -g with B = M/alpha + (p/S) g g^T
+    (ascent, alpha > 0), or M dz = g/(p - 1) (descent, alpha < 0); where
+    that solve fails, the gradient direction scaled to min u_z. With
+    descent False no row descends."""
+    B = at.M / ex.alpha + at.g[:, :, None] * at.g[:, None, :] * (ex.p / at.S)[:, None, None]
+    if descent:
+        np.copyto(B, at.M, where=ex.descent)
+    dz = _solve(B, at.g) / ex.div
+    for i, row in enumerate(dz.tolist()):
+        if not all(map(math.isfinite, row)):
+            g = at.g[i]
+            dz[i] = (g if ex.descent[i] else -g) / np.linalg.norm(g) * at.m[i]
+    return dz
+
+
+def _stop(found: list, ex: _Exponents, at: _Iterates, stop: list, it: int):
+    """Note the rows flagged in the list `stop` as stopped at iteration
+    `it` (their residual, point, support values and iteration, by
+    exponent) and return the rows left, or None if none is."""
+    for i, s in enumerate(stop):
+        if s:
+            found[ex.index[i]] = (float(at.res[i]), at.z[i], at.uz[i], it)
+    if all(stop):
+        return None
+    keep = ~np.array(stop)
+    return _take(ex, keep), _take(at, keep)
 
 
 def entropy_point(u: SupportFunction, alpha: float) -> EntropyResult:
@@ -138,99 +226,79 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
     if not alphas:
         return []
     grid, values, nodes_t = u.grid, u.values, u.grid.nodes.T
-    # per row: alpha, p, p - 1 and the divisor of the solved step (-1 for
-    # ascent, p - 1 for descent)
-    table = np.array([(a, p, p - 1.0, p - 1.0 if a < 0.0 else -1.0)
+    table = np.array([(a, p, p - 1.0, a < 0.0, p - 1.0 if a < 0.0 else -1.0)
                       for a in alphas for p in (1.0 - 1.0 / a,)])
-    rows = list(range(len(alphas)))  # the exponents still iterating
-    found = [None] * len(alphas)  # per exponent: residual, point, u_z, iteration
-    best = {}  # per exponent: an earlier residual, point and iteration that may win
-
-    def constants():
-        c = table if len(rows) == len(alphas) else table[rows]
-        return (c[:, 0, None, None], c[:, 1], c[:, 2:3], c[:, 3:4],
-                [i for i, r in enumerate(rows) if alphas[r] < 0.0])
-
-    def retire(stop, it):
-        """Record the rows flagged in the list `stop` at iteration `it`."""
-        nonlocal rows, state, const
-        for pos, r in enumerate(rows):
-            if stop[pos]:
-                found[r] = (float(state[7][pos]), state[0][pos], state[1][pos], it)
-        rows = [r for r, s in zip(rows, stop) if not s]
-        if rows:
-            state = [a[~np.array(stop)] for a in state]
-            const = constants()
-
-    z = steiner_point(u)[None].repeat(len(rows), axis=0)
+    ex = _Exponents(np.arange(len(alphas)), table[:, 0, None, None], table[:, 1],
+                    table[:, 2:3], table[:, 3, None, None] > 0.0, table[:, 4:])
+    descent = min(alphas) < 0.0  # whether any row takes the descent step
+    z = steiner_point(u)[None].repeat(len(alphas), axis=0)
     uz = values - z @ nodes_t
     m = np.minimum.reduce(uz, axis=1)
     if m[0] <= 0.0:
         raise NotInterior(z[0], m[0])
-    const = constants()
-    # state of the rows still iterating: z, u_z, min u_z, S, g, M, scale, residual
-    state = [z, uz, m, *_moments(grid, uz, const[2])]
+    at = _Iterates(z, uz, m, *_moments(grid, uz, ex.pm1))
+    found = [None] * len(alphas)  # per exponent: residual, point, u_z, iteration
+    best = {}  # per exponent: an earlier residual, point and iteration that may win
     for it in range(1, MAX_ITER + 1):
-        stop = [r <= 1e-13 for r in state[7].tolist()]
+        stop = (at.res <= 1e-13).tolist()
         if any(stop):
-            retire(stop, it)
-            if not rows:
+            left = _stop(found, ex, at, stop, it)
+            if left is None:
                 break
-        z, uz, m, S, g, M, scale, res = state
-        a3, p, pm1, div, descent = const
-        # Newton step: B dz = -g with B = M/alpha + (p/S) g g^T (ascent,
-        # alpha > 0), or M dz = g/(p - 1) (descent, alpha < 0); the gufunc
-        # behind np.linalg.solve solves the stack, a singular row as NaN
-        B = M / a3 + g[:, :, None] * g[:, None, :] * (p / S)[:, None, None]
-        if descent:
-            B[descent] = M[descent]
-        dz = _umath_linalg.solve1(B, g, signature="dd->d") / div
-        if not all(map(math.isfinite, dz.ravel().tolist())):
-            for i in np.flatnonzero(~np.isfinite(dz).all(axis=1)).tolist():
-                dz[i] = (-g[i] if a3[i, 0, 0] > 0 else g[i]) / np.linalg.norm(g[i]) * m[i]
-        floor = 0.1 * m
-        t, look = 1.0, None  # the rows still looking for a step (None: all)
+            ex, at = left
+        dz = _newton_steps(ex, at, descent)
+        # the rows still looking for a step: their place in `at`, point,
+        # step, interior floor, p - 1 and residual
+        look, z0, dz0, floor, pm1, res = (np.arange(len(ex.index)), at.z, dz, 0.1 * at.m,
+                                          ex.pm1, at.res)
+        t = 1.0
         for _ in range(60):
-            z_try = _rows(z, look) + t * _rows(dz, look)
+            z_try = z0 + t * dz0
             uz_try = values - z_try @ nodes_t
             m_try = np.minimum.reduce(uz_try, axis=1)
-            inside = m_try > _rows(floor, look)
-            at = look  # the rows tried whose step is interior (None: all)
-            if not all(inside.tolist()):
-                at = _rows(np.arange(len(rows)), look)[inside]
+            inside = m_try > floor
+            rows, pm1_in, res_in = look, pm1, res
+            if not all(inside.tolist()):  # try only the rows whose step is interior
+                rows, pm1_in, res_in = look[inside], pm1[inside], res[inside]
                 z_try, uz_try, m_try = z_try[inside], uz_try[inside], m_try[inside]
-            if at is None or at.size:
-                trial = [z_try, uz_try, m_try, *_moments(grid, uz_try, _rows(pm1, at))]
-                lower = trial[7] < _rows(res, at)
-                if at is None and all(lower.tolist()):
-                    state, look = trial, ()
-                    break
-                at = np.arange(len(rows)) if at is None else at
+            if rows.size:
+                trial = _Iterates(z_try, uz_try, m_try, *_moments(grid, uz_try, pm1_in))
+                took = trial.res < res_in
                 if t < 1e-6:  # take the step anyway; the iterate it leaves may stay best
-                    for pos in at[~lower].tolist():
-                        if res[pos] < best.get(rows[pos], (math.inf,))[0]:
-                            best[rows[pos]] = (float(res[pos]), z[pos].copy(), it - 1)
-                    lower[:] = True
-                for a, b in zip(state, trial):
-                    a[at[lower]] = b[lower]
-                look = np.setdiff1d(np.arange(len(rows)) if look is None else look, at[lower])
+                    for i in rows[~took].tolist():
+                        r = ex.index[i]
+                        if at.res[i] < best.get(r, (math.inf,))[0]:
+                            best[r] = (float(at.res[i]), at.z[i].copy(), it - 1)
+                    took[:] = True
+                if all(took.tolist()) and rows.size == len(at.z):
+                    at = trial  # every row stepped: the trial is the new state
+                    look = rows[:0]
+                    break
+                for a, b in zip(at, trial):
+                    a[rows[took]] = b[took]
+                waiting = ~inside
+                waiting[inside] = ~took
+                look, z0, dz0, floor, pm1, res = (a[waiting]
+                                                  for a in (look, z0, dz0, floor, pm1, res))
                 if not look.size:
                     break
             t *= 0.5
-        if look is None or len(look):  # no usable step: these rows stop
-            retire([look is None or pos in look for pos in range(len(rows))], it)
-            if not rows:
+        if look.size:  # no usable step: these rows stop
+            stuck = set(look.tolist())
+            left = _stop(found, ex, at, [i in stuck for i in range(len(ex.index))], it)
+            if left is None:
                 break
+            ex, at = left
     else:
-        retire([True] * len(rows), MAX_ITER)
+        _stop(found, ex, at, [True] * len(ex.index), MAX_ITER)
     results = []
-    for r, (alpha, (res, z, uz, it)) in enumerate(zip(alphas, found)):
+    for r, (a, (res, z, uz, it)) in enumerate(zip(alphas, found)):
         if r in best and best[r][0] < res:
             res, z, it = best[r]
             uz = _shifted(u, z)
         if res > GRAD_TOL:
             raise NonConvergence(it, res)
-        results.append(EntropyResult(value=_entropy(grid, uz, alpha), point=z,
+        results.append(EntropyResult(value=_entropy(grid, uz, a), point=z,
                                      gradient_norm=res, iterations=it))
     return results
 

@@ -153,25 +153,12 @@ def write_trajectory(path, records, dim: int, digest: str = "none") -> None:
     _write_csv(path, digest, columns, row * len(records) % tuple(fields))
 
 
-def _inputs_texts(reports, render) -> list[str]:
-    """render(r.inputs) of each report; a dict that several reports share
-    (`inequalities.body_checks` gives one to the rows of an exponent) is
-    rendered once."""
-    memo, texts = {}, []
-    for r in reports:
-        text = memo.get(id(r.inputs))
-        if text is None:
-            text = memo[id(r.inputs)] = render(r.inputs)
-        texts.append(text)
-    return texts
-
-
 def write_checks_csv(path, reports, digest: str = "none") -> None:
     """Check reports as CSV; the inputs dict is JSON in the last column."""
     fields = []
-    for r, inputs in zip(reports, _inputs_texts(reports, lambda d: _csv_text(_sorted_json(d)))):
+    for r in reports:
         fields += (_csv_text(r.name), str(r.passed).lower(), r.lhs, r.rhs, r.slack,
-                   r.tolerance, inputs)
+                   r.tolerance, _csv_text(_sorted_json(r.inputs)))
     _write_csv(path, digest, ["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"],
                "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\n" * len(reports) % tuple(fields))
 
@@ -199,11 +186,11 @@ _FINITE_ROW = ('{"inputs": %s, "lhs": %.17g, "name": %s, "passed": %s, "rhs": %.
 def write_checks_json(path, reports, digest: str = "none") -> None:
     """Check reports as one JSON document with an overall verdict
     (informational "(reported)" rows do not gate it). The bytes are those
-    of `_render_json` on the document; each row is one format call, and
-    each distinct inputs dict is rendered once."""
+    of `_render_json` on the document; each row is one format call."""
     gating = [r for r in reports if "(reported)" not in r.name]
     rows = []
-    for r, inputs in zip(reports, _inputs_texts(reports, _render_json)):
+    for r in reports:
+        inputs = _render_json(r.inputs)
         if (type(r.lhs) is type(r.rhs) is type(r.slack) is type(r.tolerance) is float
                 and type(r.name) is str and type(r.passed) is bool
                 and math.isfinite(r.lhs + r.rhs + r.slack + r.tolerance)):

@@ -73,26 +73,13 @@ class CheckReport:
     passed: bool
 
 
-class _Body(NamedTuple):
-    """The terms every check row of one body reads, made once per body:
-    the body, its volume, and the inputs keys its rows share (a 12-hex
-    sha256 of its values and basepoint, dim and bandlimit)."""
-
-    u: SupportFunction
-    volume: float
-    inputs: dict
-
-
-def _body(u: SupportFunction) -> _Body:
+def _digest(u: SupportFunction, **extra) -> dict:
     h = hashlib.sha256()
     h.update(u.values.tobytes())
     h.update(u.basepoint.tobytes())
-    return _Body(u, gb.volume(u), {"body": h.hexdigest()[:12], "dim": u.dim,
-                                   "bandlimit": u.grid.bandlimit})
-
-
-def _with(b: _Body, **extra) -> dict:
-    return {**b.inputs, **extra}
+    d = {"body": h.hexdigest()[:12], "dim": u.dim, "bandlimit": u.grid.bandlimit}
+    d.update(extra)
+    return d
 
 
 def _one_sided(name, inputs, lhs, rhs, tolerance) -> CheckReport:
@@ -115,19 +102,23 @@ def check_blaschke_santalo(u: SupportFunction, ep=None) -> CheckReport:
     """Volume times polar-dual volume at the Santalo point stays below
     the ball's value; equality exactly for ellipsoids. ep, if given, is
     the entropy point at alpha = 1/(n+2) (the Santalo point)."""
-    return _santalo_row(_body(u), ep)
+    return _santalo_row(u, _digest(u), gb.volume(u), ep)
 
 
-def _santalo_row(b: _Body, ep) -> CheckReport:
-    sp = ge.santalo_point(b.u, ep=ep)
-    rhs = sg.ball_volume(b.u.dim) ** 2
-    return _one_sided("volume-dual-volume-product", _with(b, z=[f"{c:.6g}" for c in sp.point]),
-                      b.volume * sp.dual_volume, rhs, 1e-8 * rhs)
+# The row makers below take the body's digest keys (`_digest(u)`) and
+# volume, so that `body_checks` makes each once per body.
+
+def _santalo_row(u: SupportFunction, keys: dict, vol: float, ep) -> CheckReport:
+    sp = ge.santalo_point(u, ep=ep)
+    rhs = sg.ball_volume(u.dim) ** 2
+    return _one_sided("volume-dual-volume-product",
+                      {**keys, "z": [f"{c:.6g}" for c in sp.point]},
+                      vol * sp.dual_volume, rhs, 1e-8 * rhs)
 
 
-def _require_normalized(b: _Body) -> None:
-    target = sg.ball_volume(b.u.dim)
-    if abs(b.volume - target) > 1e-10 * target:
+def _require_normalized(u: SupportFunction, vol: float) -> None:
+    target = sg.ball_volume(u.dim)
+    if abs(vol - target) > 1e-10 * target:
         raise ValueError("body volume must be pre-normalized to the unit ball's")
 
 
@@ -135,61 +126,58 @@ def check_entropy_nonneg(u: SupportFunction, alpha: float, ep=None) -> CheckRepo
     """At normalized volume the entropy is minimized by the ball, where
     it vanishes; so the extremal entropy must be >= 0. Here and below,
     ep is the body's entropy point at alpha if already solved."""
-    b = _body(u)
-    _require_normalized(b)
-    return _nonneg_row(_with(b, alpha=alpha), _entropy_point(u, alpha, ep))
+    _require_normalized(u, gb.volume(u))
+    return _nonneg_row(_digest(u), alpha, _entropy_point(u, alpha, ep))
 
 
-def _nonneg_row(inputs: dict, ep: ge.EntropyResult) -> CheckReport:
-    return _one_sided("entropy-nonnegative", inputs, 0.0, ep.value, 1e-10)
+def _nonneg_row(keys: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
+    return _one_sided("entropy-nonnegative", {**keys, "alpha": alpha}, 0.0, ep.value, 1e-10)
 
 
 def check_z_vs_entropy(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
     """The curvature power mean dominates e^entropy at normalized
     volume, for exponents alpha >= 1/(n+2) (below that the bound is not
     available and can genuinely reverse)."""
-    b = _body(u)
-    _require_normalized(b)
+    _require_normalized(u, gb.volume(u))
     if alpha < 1.0 / (u.dim + 2) - 1e-12:
         raise ValueError("curvature power mean bound needs alpha >= 1/(n+2)")
-    return _z_row(b, _with(b, alpha=alpha), alpha, _entropy_point(u, alpha, ep))
+    return _z_row(u, _digest(u), alpha, _entropy_point(u, alpha, ep))
 
 
-def _z_row(b: _Body, inputs: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
+def _z_row(u: SupportFunction, keys: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
     lhs = math.exp(ep.value)
-    rhs = ge.zalpha(b.u, alpha)
-    return _one_sided("curvature-mean-vs-entropy", inputs, lhs, rhs,
+    rhs = ge.zalpha(u, alpha)
+    return _one_sided("curvature-mean-vs-entropy", {**keys, "alpha": alpha}, lhs, rhs,
                       1e-10 * max(abs(lhs), abs(rhs)))
 
 
 def check_affine_isoperimetric(u: SupportFunction) -> CheckReport:
     """Affine surface area to the power n+2 against its sharp bound
     (n+1)^(n+2) |B(1)|^2 |Omega|^n; equality for ellipsoids."""
-    return _affine_row(_body(u))
+    return _affine_row(u, _digest(u), gb.volume(u))
 
 
-def _affine_row(b: _Body) -> CheckReport:
-    n = b.u.dim
-    lhs = gb.affine_surface_area(b.u) ** (n + 2)
-    rhs = (n + 1.0) ** (n + 2) * sg.ball_volume(n) ** 2 * b.volume ** n
-    return _one_sided("affine-isoperimetric", b.inputs, lhs, rhs, 1e-8 * rhs)
+def _affine_row(u: SupportFunction, keys: dict, vol: float) -> CheckReport:
+    n = u.dim
+    lhs = gb.affine_surface_area(u) ** (n + 2)
+    rhs = (n + 1.0) ** (n + 2) * sg.ball_volume(n) ** 2 * vol ** n
+    return _one_sided("affine-isoperimetric", keys, lhs, rhs, 1e-8 * rhs)
 
 
-def check_width_bounds(u: SupportFunction, inputs: dict | None = None) -> list[CheckReport]:
+def check_width_bounds(u: SupportFunction) -> list[CheckReport]:
     """Outradius vs max width and inradius vs min width, both directions
     of each classical comparison, in R^d with d = n+1. The sharp
     constants are Jung's R <= D sqrt(d/(2(d+1))) (regular simplex) and
     Steinhagen's r >= w/(2 sqrt(d)) for odd d, r >= w sqrt(d+2)/(2(d+1))
     for even d (w/3 in the plane, equilateral triangle); see Bonnesen-
-    Fenchel, Theorie der konvexen Koerper (1934). The four rows share
-    `inputs`, by default the body's digest keys."""
+    Fenchel, Theorie der konvexen Koerper (1934)."""
     d = u.dim + 1
     jung = math.sqrt(d / (2.0 * (d + 1)))
     steinhagen = (1.0 / (2.0 * math.sqrt(d)) if d % 2
                   else math.sqrt(d + 2.0) / (2.0 * (d + 1)))
     wr = gb.width_radii(u)
     scale = 1e-8 * max(wr.w_plus, 1.0)
-    inputs = _body(u).inputs if inputs is None else inputs
+    inputs = _digest(u)
     return [
         _one_sided("half-max-width-below-outradius", inputs,
                    0.5 * wr.w_plus, wr.rho_plus, scale),
@@ -220,18 +208,18 @@ def curvature_image(u: SupportFunction, alpha: float, ep=None) -> CurvatureImage
     1e-9 it raises CompatibilityViolation. For n=1 the body with this
     curvature density is recovered by dividing Fourier modes by 1 - k^2
     (degree-1 modes verified tiny, then zeroed)."""
-    return _curvature_images(_body(u), [alpha], [_entropy_point(u, alpha, ep)])[0]
+    return _curvature_images(u, gb.volume(u), [alpha], [_entropy_point(u, alpha, ep)])[0]
 
 
-def _curvature_images(b: _Body, alphas, eps) -> list[CurvatureImage]:
-    """`curvature_image` of each exponent with its entropy point: the
-    densities as one stack and, for n=1, the image bodies from one
-    analysis and one synthesis of that stack. Raises for the first
-    exponent, in order, whose image fails a check."""
-    u, grid = b.u, b.u.grid
+def _curvature_images(u: SupportFunction, vol: float, alphas, eps) -> list[CurvatureImage]:
+    """`curvature_image` of each exponent with its entropy point, for the
+    body u of volume vol: the densities as one stack and, for n=1, the
+    image bodies from one analysis and one synthesis of that stack.
+    Raises for the first exponent, in order, whose image fails a check."""
+    grid = u.grid
     a = np.array(alphas)[:, None]
     u_e = u.values - np.array([ep.point for ep in eps]) @ grid.nodes.T
-    pref = (b.volume / sg.ball_volume(u.dim)) * np.exp(
+    pref = (vol / sg.ball_volume(u.dim)) * np.exp(
         -((a - 1.0) / a) * np.array([[ep.value] for ep in eps]))
     density = pref * u_e ** (-1.0 / a)
     bad = [np.abs((grid.weights * density) @ grid.nodes).max(axis=1)]
@@ -262,21 +250,22 @@ def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckR
         raise UnsupportedDimension("entropy stability check needs n=1")
     if not _has_stability_bound(alpha):
         raise ValueError("entropy stability bound needs alpha >= 1/(n+2) or alpha < 0")
-    b = _body(u)
+    vol = gb.volume(u)
     ep = _entropy_point(u, alpha, ep)
-    return _stability_row(b, _with(b, alpha=alpha), alpha, ep,
-                          _curvature_images(b, [alpha], [ep])[0])
+    return _stability_row(u, _digest(u), vol, alpha, ep,
+                          _curvature_images(u, vol, [alpha], [ep])[0])
 
 
 def _has_stability_bound(alpha: float) -> bool:
     return alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0
 
 
-def _stability_row(b: _Body, inputs: dict, alpha: float, ep: ge.EntropyResult,
-                   ci: CurvatureImage) -> CheckReport:
-    n = b.u.dim
-    bound = (math.log(b.volume / sg.ball_volume(n)) / (n + 1)
-             + n / (n + 1) * math.log(b.volume / gb.volume(ci.body)))
+def _stability_row(u: SupportFunction, keys: dict, vol: float, alpha: float,
+                   ep: ge.EntropyResult, ci: CurvatureImage) -> CheckReport:
+    n = u.dim
+    bound = (math.log(vol / sg.ball_volume(n)) / (n + 1)
+             + n / (n + 1) * math.log(vol / gb.volume(ci.body)))
+    inputs = {**keys, "alpha": alpha}
     if alpha > 0:
         return _one_sided("entropy-vs-curvature-image-bound", inputs, bound, ep.value, 1e-8)
     return _one_sided("entropy-vs-curvature-image-bound-reversed", inputs, ep.value, bound,
@@ -300,13 +289,12 @@ def check_soliton_properties(u: SupportFunction, alpha: float) -> list[CheckRepo
         raise NotASoliton(res.residual, 1e-6)
     n = u.dim
     tol = 1e-6
-    b = _body(u)
-    inputs = _with(b, alpha=alpha, residual=f"{res.residual:.3e}")
+    inputs = _digest(u, alpha=alpha, residual=f"{res.residual:.3e}")
     target = sg.ball_volume(n)
     origin = np.zeros(n + 1)
     reports = [
         _equality("soliton-volume-matches-unit-ball", inputs,
-                  b.volume, target, tol * target),
+                  gb.volume(u), target, tol * target),
         _equality("soliton-entropy-point-at-origin", inputs,
                   float(np.linalg.norm(ge.entropy_point(u, alpha).point)), 0.0, tol),
     ]
@@ -347,25 +335,24 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     solve (`entropy.entropy_points`), the Santalo check reuses
     alpha = 1/(n+2) if alphas has it, and the n=1 image bodies come from
     one stacked transform. The volume, the digest keys and the
-    normalization check are made once; the rows of one exponent share
-    one inputs dict, and so do the width and affine rows."""
+    normalization check are made once per body."""
     alphas = tuple(alphas)
     eps = ge.entropy_points(u, alphas)
-    b = _body(u)
     n = u.dim
+    keys, vol = _digest(u), gb.volume(u)
     santalo = next((ep for a, ep in zip(alphas, eps) if a == 1.0 / (n + 2)), None)
-    reports = [_santalo_row(b, santalo), *check_width_bounds(u, b.inputs), _affine_row(b)]
-    _require_normalized(b)
+    reports = [_santalo_row(u, keys, vol, santalo), *check_width_bounds(u),
+               _affine_row(u, keys, vol)]
+    _require_normalized(u, vol)
     imaged = [i for i, a in enumerate(alphas) if n == 1 and _has_stability_bound(a)]
-    images = dict(zip(imaged, _curvature_images(b, [alphas[i] for i in imaged],
+    images = dict(zip(imaged, _curvature_images(u, vol, [alphas[i] for i in imaged],
                                                 [eps[i] for i in imaged]))) if imaged else {}
     for i, (alpha, ep) in enumerate(zip(alphas, eps)):
-        inputs = _with(b, alpha=alpha)
-        reports.append(_nonneg_row(inputs, ep))
+        reports.append(_nonneg_row(keys, alpha, ep))
         if alpha >= 1.0 / (n + 2) - 1e-12:
-            reports.append(_z_row(b, inputs, alpha, ep))
+            reports.append(_z_row(u, keys, alpha, ep))
         if i in images:
-            reports.append(_stability_row(b, inputs, alpha, ep, images[i]))
+            reports.append(_stability_row(u, keys, vol, alpha, ep, images[i]))
     return reports
 
 

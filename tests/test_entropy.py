@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -232,3 +234,81 @@ class TestStackedSolve:
         assert caught.value.iterations == 0
         assert caught.value.gradient_norm == pytest.approx(first.value.gradient_norm,
                                                            rel=1e-12)
+
+
+
+@pytest.fixture(params=["gufunc", "public"])
+def solve_path(request, monkeypatch):
+    """Run a test through both ways `_solve` solves a stack: the gufunc
+    behind np.linalg.solve, and np.linalg.solve where numpy lacks it."""
+    if request.param == "public":
+        monkeypatch.setattr(ge, "_solve1", None)
+    return request.param
+
+
+class TestSingularStep:
+    """A row whose Newton matrix is singular takes the gradient step with
+    no numpy warning; the other rows keep their solved step."""
+
+    @staticmethod
+    def start(u, alphas):
+        """The stacked solve's rows and iterates at the Steiner point."""
+        a = np.array(alphas)
+        p = 1.0 - 1.0 / a
+        ex = ge._Exponents(np.arange(len(a)), a[:, None, None], p, (p - 1.0)[:, None],
+                           (a < 0.0)[:, None, None], np.where(a < 0.0, p - 1.0, -1.0)[:, None])
+        z = ge.steiner_point(u)[None].repeat(len(a), axis=0)
+        uz = u.values - z @ u.grid.nodes.T
+        return ex, ge._Iterates(z, uz, uz.min(axis=1), *ge._moments(u.grid, uz, ex.pm1))
+
+    @pytest.mark.parametrize("alpha", [1.0, -1.0])
+    def test_singular_row_takes_the_gradient_step(self, solve_path, alpha):
+        u = gb.random_body(3, 2, 8, 0.1)
+        ex, at = self.start(u, [0.5, alpha, 2.0])
+        # M = 0 leaves the middle row the rank-one (p/S) g g^T (ascent) or
+        # nothing (descent)
+        at.M[1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dz = ge._newton_steps(ex, at)
+        g = at.g[1]
+        assert np.array_equal(dz[1], (g if alpha < 0 else -g) / np.linalg.norm(g) * at.m[1])
+        for i in (0, 2):
+            alone = ge._newton_steps(ge._take(ex, [i]), ge._take(at, [i]))
+            assert np.array_equal(dz[i], alone[0])
+
+    def test_a_singular_first_step_still_converges(self, solve_path, monkeypatch):
+        u = gb.random_body(5, 2, 8, 0.1)
+        alphas = [0.5, 1.0, 2.0]
+        real = ge._moments
+        calls = []
+
+        def first_singular(grid, uz, pm1):
+            S, g, M, scale, res = real(grid, uz, pm1)
+            if not calls:
+                M[1] = 0.0  # the 1.0 row's matrix at the Steiner point
+            calls.append(len(uz))
+            return S, g, M, scale, res
+
+        monkeypatch.setattr(ge, "_moments", first_singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = ge.entropy_points(u, alphas)
+        monkeypatch.setattr(ge, "_moments", real)
+        for alpha, row in zip(alphas, rows):
+            assert row.gradient_norm <= ge.GRAD_TOL
+            assert_allclose(row.point, ge.entropy_point(u, alpha).point, atol=1e-11)
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_public_solve_gives_the_same_bits(self, monkeypatch, dim, L):
+        alphas = gi.alpha_grid(dim)
+        for seed in range(5):
+            u = gb.random_body(seed, dim, L, 0.1)
+            fast = ge.entropy_points(u, alphas)
+            monkeypatch.setattr(ge, "_solve1", None)
+            public = ge.entropy_points(u, alphas)
+            monkeypatch.undo()
+            for a, b in zip(fast, public):
+                assert np.array_equal(a.point, b.point)
+                assert (a.value, a.iterations, a.gradient_norm) == (
+                    b.value, b.iterations, b.gradient_norm)
