@@ -153,12 +153,25 @@ def write_trajectory(path, records, dim: int, digest: str = "none") -> None:
     _write_csv(path, digest, columns, row * len(records) % tuple(fields))
 
 
+def _inputs_texts(reports, render) -> list[str]:
+    """render(r.inputs) of each report; a dict object that several reports
+    share is rendered once (keyed by identity, which the reports keep
+    alive for the whole call)."""
+    memo, texts = {}, []
+    for r in reports:
+        text = memo.get(id(r.inputs))
+        if text is None:
+            text = memo[id(r.inputs)] = render(r.inputs)
+        texts.append(text)
+    return texts
+
+
 def write_checks_csv(path, reports, digest: str = "none") -> None:
     """Check reports as CSV; the inputs dict is JSON in the last column."""
     fields = []
-    for r in reports:
+    for r, inputs in zip(reports, _inputs_texts(reports, lambda d: _csv_text(_sorted_json(d)))):
         fields += (_csv_text(r.name), str(r.passed).lower(), r.lhs, r.rhs, r.slack,
-                   r.tolerance, _csv_text(_sorted_json(r.inputs)))
+                   r.tolerance, inputs)
     _write_csv(path, digest, ["name", "passed", "lhs", "rhs", "slack", "tolerance", "inputs"],
                "%s,%s,%.17g,%.17g,%.17g,%.17g,%s\n" * len(reports) % tuple(fields))
 
@@ -186,11 +199,11 @@ _FINITE_ROW = ('{"inputs": %s, "lhs": %.17g, "name": %s, "passed": %s, "rhs": %.
 def write_checks_json(path, reports, digest: str = "none") -> None:
     """Check reports as one JSON document with an overall verdict
     (informational "(reported)" rows do not gate it). The bytes are those
-    of `_render_json` on the document; each row is one format call."""
+    of `_render_json` on the document; each row is one format call, and
+    each distinct inputs dict is rendered once."""
     gating = [r for r in reports if "(reported)" not in r.name]
     rows = []
-    for r in reports:
-        inputs = _render_json(r.inputs)
+    for r, inputs in zip(reports, _inputs_texts(reports, _render_json)):
         if (type(r.lhs) is type(r.rhs) is type(r.slack) is type(r.tolerance) is float
                 and type(r.name) is str and type(r.passed) is bool
                 and math.isfinite(r.lhs + r.rhs + r.slack + r.tolerance)):

@@ -105,8 +105,9 @@ def check_blaschke_santalo(u: SupportFunction, ep=None) -> CheckReport:
     return _santalo_row(u, _digest(u), gb.volume(u), ep)
 
 
-# The row makers below take the body's digest keys (`_digest(u)`) and
-# volume, so that `body_checks` makes each once per body.
+# The row makers below take the body's digest keys or the row's inputs
+# dict, and the body's volume, so that `body_checks` makes the digest and
+# the volume once per body.
 
 def _santalo_row(u: SupportFunction, keys: dict, vol: float, ep) -> CheckReport:
     sp = ge.santalo_point(u, ep=ep)
@@ -127,11 +128,11 @@ def check_entropy_nonneg(u: SupportFunction, alpha: float, ep=None) -> CheckRepo
     it vanishes; so the extremal entropy must be >= 0. Here and below,
     ep is the body's entropy point at alpha if already solved."""
     _require_normalized(u, gb.volume(u))
-    return _nonneg_row(_digest(u), alpha, _entropy_point(u, alpha, ep))
+    return _nonneg_row(_digest(u, alpha=alpha), _entropy_point(u, alpha, ep))
 
 
-def _nonneg_row(keys: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
-    return _one_sided("entropy-nonnegative", {**keys, "alpha": alpha}, 0.0, ep.value, 1e-10)
+def _nonneg_row(inputs: dict, ep: ge.EntropyResult) -> CheckReport:
+    return _one_sided("entropy-nonnegative", inputs, 0.0, ep.value, 1e-10)
 
 
 def check_z_vs_entropy(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
@@ -141,13 +142,13 @@ def check_z_vs_entropy(u: SupportFunction, alpha: float, ep=None) -> CheckReport
     _require_normalized(u, gb.volume(u))
     if alpha < 1.0 / (u.dim + 2) - 1e-12:
         raise ValueError("curvature power mean bound needs alpha >= 1/(n+2)")
-    return _z_row(u, _digest(u), alpha, _entropy_point(u, alpha, ep))
+    return _z_row(u, _digest(u, alpha=alpha), alpha, _entropy_point(u, alpha, ep))
 
 
-def _z_row(u: SupportFunction, keys: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
+def _z_row(u: SupportFunction, inputs: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
     lhs = math.exp(ep.value)
     rhs = ge.zalpha(u, alpha)
-    return _one_sided("curvature-mean-vs-entropy", {**keys, "alpha": alpha}, lhs, rhs,
+    return _one_sided("curvature-mean-vs-entropy", inputs, lhs, rhs,
                       1e-10 * max(abs(lhs), abs(rhs)))
 
 
@@ -252,7 +253,7 @@ def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckR
         raise ValueError("entropy stability bound needs alpha >= 1/(n+2) or alpha < 0")
     vol = gb.volume(u)
     ep = _entropy_point(u, alpha, ep)
-    return _stability_row(u, _digest(u), vol, alpha, ep,
+    return _stability_row(u, _digest(u, alpha=alpha), vol, alpha, ep,
                           _curvature_images(u, vol, [alpha], [ep])[0])
 
 
@@ -260,12 +261,11 @@ def _has_stability_bound(alpha: float) -> bool:
     return alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0
 
 
-def _stability_row(u: SupportFunction, keys: dict, vol: float, alpha: float,
+def _stability_row(u: SupportFunction, inputs: dict, vol: float, alpha: float,
                    ep: ge.EntropyResult, ci: CurvatureImage) -> CheckReport:
     n = u.dim
     bound = (math.log(vol / sg.ball_volume(n)) / (n + 1)
              + n / (n + 1) * math.log(vol / gb.volume(ci.body)))
-    inputs = {**keys, "alpha": alpha}
     if alpha > 0:
         return _one_sided("entropy-vs-curvature-image-bound", inputs, bound, ep.value, 1e-8)
     return _one_sided("entropy-vs-curvature-image-bound-reversed", inputs, ep.value, bound,
@@ -335,7 +335,9 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     solve (`entropy.entropy_points`), the Santalo check reuses
     alpha = 1/(n+2) if alphas has it, and the n=1 image bodies come from
     one stacked transform. The volume, the digest keys and the
-    normalization check are made once per body."""
+    normalization check are made once per body, and the rows of one
+    exponent share one inputs dict (which the checks writers then
+    render once)."""
     alphas = tuple(alphas)
     eps = ge.entropy_points(u, alphas)
     n = u.dim
@@ -348,11 +350,12 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     images = dict(zip(imaged, _curvature_images(u, vol, [alphas[i] for i in imaged],
                                                 [eps[i] for i in imaged]))) if imaged else {}
     for i, (alpha, ep) in enumerate(zip(alphas, eps)):
-        reports.append(_nonneg_row(keys, alpha, ep))
+        inputs = {**keys, "alpha": alpha}
+        reports.append(_nonneg_row(inputs, ep))
         if alpha >= 1.0 / (n + 2) - 1e-12:
-            reports.append(_z_row(u, keys, alpha, ep))
+            reports.append(_z_row(u, inputs, alpha, ep))
         if i in images:
-            reports.append(_stability_row(u, keys, vol, alpha, ep, images[i]))
+            reports.append(_stability_row(u, inputs, vol, alpha, ep, images[i]))
     return reports
 
 
