@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
-
-try:  # the gufunc np.linalg.solve runs for a vector right-hand side
-    from numpy.linalg._umath_linalg import solve1 as _solve1
-except ImportError:
-    _solve1 = None
 
 from . import sphere_grid as sg
 from .body import SupportFunction, curvature_data, dual_volume
@@ -142,34 +139,30 @@ class _Iterates(NamedTuple):
     res: NDArray
 
 
+@lru_cache(maxsize=16)
+def _exponents(alphas: tuple) -> _Exponents:
+    """The rows of a stacked solve of these (checked) exponents. They
+    depend on the exponents only, so each list is made once; nothing
+    writes to them (`_take` copies)."""
+    table = np.array([(a, p, p - 1.0, a < 0.0, p - 1.0 if a < 0.0 else -1.0)
+                      for a in alphas for p in (1.0 - 1.0 / a,)])
+    table.flags.writeable = False
+    return _Exponents(np.arange(len(alphas)), table[:, 0, None, None], table[:, 1],
+                      table[:, 2:3], table[:, 3, None, None] > 0.0, table[:, 4:])
+
+
 def _take(rows, keep):
     """The rows `keep` (a mask or an index array) of every field."""
     return type(rows)(*(a[keep] for a in rows))
 
 
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
-def _solve1_quiet(B: NDArray, g: NDArray) -> NDArray:
-    return _solve1(B, g, signature="dd->d")
-
-
 def _solve(B: NDArray, g: NDArray) -> NDArray:
     """B^-1 g for each row of the stacks B and g; a row whose matrix is
-    singular (or not finite) is NaN, without a warning. The stack is one
-    call of the gufunc behind np.linalg.solve, under the errstate that
-    np.linalg.solve sets but without its per-call checks; where numpy has
-    no such gufunc, np.linalg.solve itself, row by row if a row fails."""
-    if _solve1 is not None:
-        return _solve1_quiet(B, g)
-    try:
-        return np.linalg.solve(B, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(g, np.nan)
-        for i in range(len(g)):
-            try:
-                out[i] = np.linalg.solve(B[i], g[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    singular (or not finite) is NaN, without a warning. It is one call of
+    the gufunc np.linalg.solve runs for a vector right-hand side, under
+    the errstate np.linalg.solve sets but without its per-call checks."""
+    return _umath_linalg.solve1(B, g, signature="dd->d")
 
 
 def _newton_steps(ex: _Exponents, at: _Iterates, descent: bool = True) -> NDArray:
@@ -222,14 +215,11 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
     gradient direction. Raises NonConvergence for the first exponent, in
     the given order, whose row does not converge.
     """
-    alphas = [_check_alpha(a) for a in alphas]
+    alphas = tuple(_check_alpha(a) for a in alphas)
     if not alphas:
         return []
     grid, values, nodes_t = u.grid, u.values, u.grid.nodes.T
-    table = np.array([(a, p, p - 1.0, a < 0.0, p - 1.0 if a < 0.0 else -1.0)
-                      for a in alphas for p in (1.0 - 1.0 / a,)])
-    ex = _Exponents(np.arange(len(alphas)), table[:, 0, None, None], table[:, 1],
-                    table[:, 2:3], table[:, 3, None, None] > 0.0, table[:, 4:])
+    ex = _exponents(alphas)
     descent = min(alphas) < 0.0  # whether any row takes the descent step
     z = steiner_point(u)[None].repeat(len(alphas), axis=0)
     uz = values - z @ nodes_t
@@ -272,7 +262,7 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
                     took[:] = True
                 if all(took.tolist()) and rows.size == len(at.z):
                     at = trial  # every row stepped: the trial is the new state
-                    look = rows[:0]
+                    look = ()
                     break
                 for a, b in zip(at, trial):
                     a[rows[took]] = b[took]
@@ -281,9 +271,10 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
                 look, z0, dz0, floor, pm1, res = (a[waiting]
                                                   for a in (look, z0, dz0, floor, pm1, res))
                 if not look.size:
+                    look = ()
                     break
             t *= 0.5
-        if look.size:  # no usable step: these rows stop
+        if len(look):  # no usable step: these rows stop
             stuck = set(look.tolist())
             left = _stop(found, ex, at, [i in stuck for i in range(len(ex.index))], it)
             if left is None:

@@ -237,15 +237,6 @@ class TestStackedSolve:
 
 
 
-@pytest.fixture(params=["gufunc", "public"])
-def solve_path(request, monkeypatch):
-    """Run a test through both ways `_solve` solves a stack: the gufunc
-    behind np.linalg.solve, and np.linalg.solve where numpy lacks it."""
-    if request.param == "public":
-        monkeypatch.setattr(ge, "_solve1", None)
-    return request.param
-
-
 class TestSingularStep:
     """A row whose Newton matrix is singular takes the gradient step with
     no numpy warning; the other rows keep their solved step."""
@@ -262,7 +253,7 @@ class TestSingularStep:
         return ex, ge._Iterates(z, uz, uz.min(axis=1), *ge._moments(u.grid, uz, ex.pm1))
 
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
-    def test_singular_row_takes_the_gradient_step(self, solve_path, alpha):
+    def test_singular_row_takes_the_gradient_step(self, alpha):
         u = gb.random_body(3, 2, 8, 0.1)
         ex, at = self.start(u, [0.5, alpha, 2.0])
         # M = 0 leaves the middle row the rank-one (p/S) g g^T (ascent) or
@@ -277,7 +268,7 @@ class TestSingularStep:
             alone = ge._newton_steps(ge._take(ex, [i]), ge._take(at, [i]))
             assert np.array_equal(dz[i], alone[0])
 
-    def test_a_singular_first_step_still_converges(self, solve_path, monkeypatch):
+    def test_a_singular_first_step_still_converges(self, monkeypatch):
         u = gb.random_body(5, 2, 8, 0.1)
         alphas = [0.5, 1.0, 2.0]
         real = ge._moments
@@ -287,7 +278,7 @@ class TestSingularStep:
             S, g, M, scale, res = real(grid, uz, pm1)
             if not calls:
                 M[1] = 0.0  # the 1.0 row's matrix at the Steiner point
-            calls.append(len(uz))
+            calls.append(True)
             return S, g, M, scale, res
 
         monkeypatch.setattr(ge, "_moments", first_singular)
@@ -298,17 +289,3 @@ class TestSingularStep:
         for alpha, row in zip(alphas, rows):
             assert row.gradient_norm <= ge.GRAD_TOL
             assert_allclose(row.point, ge.entropy_point(u, alpha).point, atol=1e-11)
-
-    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
-    def test_public_solve_gives_the_same_bits(self, monkeypatch, dim, L):
-        alphas = gi.alpha_grid(dim)
-        for seed in range(5):
-            u = gb.random_body(seed, dim, L, 0.1)
-            fast = ge.entropy_points(u, alphas)
-            monkeypatch.setattr(ge, "_solve1", None)
-            public = ge.entropy_points(u, alphas)
-            monkeypatch.undo()
-            for a, b in zip(fast, public):
-                assert np.array_equal(a.point, b.point)
-                assert (a.value, a.iterations, a.gradient_norm) == (
-                    b.value, b.iterations, b.gradient_norm)
