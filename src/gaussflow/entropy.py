@@ -165,14 +165,12 @@ def _solve(B: NDArray, g: NDArray) -> NDArray:
     return _umath_linalg.solve1(B, g, signature="dd->d")
 
 
-def _newton_steps(ex: _Exponents, at: _Iterates, descent: bool = True) -> NDArray:
+def _newton_steps(ex: _Exponents, at: _Iterates) -> NDArray:
     """The step of each row: B dz = -g with B = M/alpha + (p/S) g g^T
     (ascent, alpha > 0), or M dz = g/(p - 1) (descent, alpha < 0); where
-    that solve fails, the gradient direction scaled to min u_z. With
-    descent False no row descends."""
+    that solve fails, the gradient direction scaled to min u_z."""
     B = at.M / ex.alpha + at.g[:, :, None] * at.g[:, None, :] * (ex.p / at.S)[:, None, None]
-    if descent:
-        np.copyto(B, at.M, where=ex.descent)
+    np.copyto(B, at.M, where=ex.descent)
     dz = _solve(B, at.g) / ex.div
     for i, row in enumerate(dz.tolist()):
         if not all(map(math.isfinite, row)):
@@ -220,7 +218,6 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
         return []
     grid, values, nodes_t = u.grid, u.values, u.grid.nodes.T
     ex = _exponents(alphas)
-    descent = min(alphas) < 0.0  # whether any row takes the descent step
     z = steiner_point(u)[None].repeat(len(alphas), axis=0)
     uz = values - z @ nodes_t
     m = np.minimum.reduce(uz, axis=1)
@@ -236,7 +233,7 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
             if left is None:
                 break
             ex, at = left
-        dz = _newton_steps(ex, at, descent)
+        dz = _newton_steps(ex, at)
         # the rows still looking for a step: their place in `at`, point,
         # step, interior floor, p - 1 and residual
         look, z0, dz0, floor, pm1, res = (np.arange(len(ex.index)), at.z, dz, 0.1 * at.m,
