@@ -43,6 +43,7 @@ __all__ = [
     "surface_area",
     "affine_surface_area",
     "width_radii",
+    "width_radii_stack",
     "WidthRadii",
     "dual_volume",
     "boundary_points",
@@ -329,21 +330,66 @@ def _radius_lp(nodes: NDArray, u: NDArray,
         basis[min(ties, key=lambda k: basis[k])] = j
 
 
-def width_radii(u: SupportFunction,
-                bases: tuple[NDArray, NDArray] | None = None) -> WidthRadii:
-    """Extremal widths w+/- over node directions and outer/inner radii
-    rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
-    -(outer radius of -u), about the negated center.
+def _radius_lps(nodes: NDArray, U: NDArray,
+                starts: NDArray) -> list[tuple[float, NDArray, NDArray] | RadiiNonConvergence]:
+    """`_radius_lp` of every row of U (k, nodes), row r from starts[r],
+    as one stack: per pivot one inverse of the (k, d+1, d+1) basis
+    matrices, one stacked matmul for the excess of every node and a
+    vectorised ratio test. Each row keeps every rule of the one-row solve
+    (start test, tolerance, `_MAX_PIVOTS`, Bland's rule, gap certificate)
+    and its arithmetic, so it gives the one-row solve's bits; rows leave
+    the stack as they stop. Returns, in row order, (rho, center, basis)
+    or the RadiiNonConvergence that the one-row solve would raise."""
+    d = nodes.shape[1]
+    out: list = [None] * len(U)
+    rows = np.arange(len(U))
+    basis = np.array(starts)
+    tol = 1e-14 * np.maximum(1.0, np.abs(U).max(axis=1))
+    for pivots in range(_MAX_PIVOTS + 1):
+        M = np.ones((len(rows), d + 1, d + 1))
+        M[:, 1:] = nodes[basis].transpose(0, 2, 1)
+        Minv = np.linalg.inv(M)
+        lam = Minv[:, :, 0]
+        refused = (pivots == 0) & (lam.min(axis=1) < -1e-12)
+        ub = np.take_along_axis(U, basis, axis=1)
+        y = np.matmul(Minv.transpose(0, 2, 1), ub[:, :, None])[:, :, 0]
+        level = U - np.matmul(nodes, y[:, 1:, None])[:, :, 0]
+        excess = level - y[:, :1]
+        np.put_along_axis(excess, basis, 0.0, axis=1)
+        j = excess.argmax(axis=1)
+        top = excess[np.arange(len(rows)), j]
+        done = top <= tol
+        stop = refused | done | (pivots == _MAX_PIVOTS)
+        for i in np.flatnonzero(stop):
+            if refused[i]:
+                out[rows[i]] = RadiiNonConvergence(np.nan, np.inf)
+            elif not done[i]:
+                out[rows[i]] = RadiiNonConvergence(float(y[i, 0]), float(top[i]))
+            else:
+                rho = float(level[i].max())
+                gap = abs(rho - float(lam[i] @ ub[i]))
+                out[rows[i]] = (RadiiNonConvergence(rho, gap) if gap > 1e-8 * max(1.0, abs(rho))
+                                else (rho, y[i, 1:], basis[i]))
+        if stop.all():
+            return out
+        go = ~stop
+        rows, U, basis, tol, Minv, lam, j = (a[go] for a in (rows, U, basis, tol, Minv, lam, j))
+        col = np.ones((len(rows), d + 1, 1))    # (1, x_j) of each entering node j
+        col[:, 1:, 0] = nodes[j]
+        dw = np.matmul(Minv, col)[:, :, 0]
+        ratio = np.full(dw.shape, np.inf)
+        moving = dw > 1e-14
+        ratio[moving] = np.maximum(lam[moving], 0.0) / dw[moving]
+        ties = ratio <= ratio.min(axis=1, keepdims=True) + 1e-15
+        leave = np.where(ties, basis, len(nodes)).argmin(axis=1)   # Bland
+        basis[np.arange(len(rows)), leave] = j
+    raise AssertionError("unreachable: the last pivot stops every row")
 
-    bases starts the outer and inner solves, each from its own basis:
-    pass an earlier result's `bases` from a body on the same grid (a flow
-    passes its previous sample's), or None to start both cold from
-    `_start_basis`. Either start gives the same radii up to rounding."""
-    nodes = u.grid.nodes
-    outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
+
+def _width_radii(u: SupportFunction, outer, inner) -> WidthRadii:
+    """WidthRadii of u from its outer solve and the outer solve of -u."""
+    (rho_plus, center_out, outer), (neg_rho, neg_center, inner) = outer, inner
     w = u.values + u.values[u.grid.antipode]
-    rho_plus, center_out, outer = _radius_lp(nodes, u.values, outer)
-    neg_rho, neg_center, inner = _radius_lp(nodes, -u.values, inner)
     return WidthRadii(
         w_plus=float(w.max()),
         w_minus=float(w.min()),
@@ -353,6 +399,44 @@ def width_radii(u: SupportFunction,
         center_in=-neg_center,
         bases=(outer, inner),
     )
+
+
+def width_radii(u: SupportFunction,
+                bases: tuple[NDArray, NDArray] | None = None) -> WidthRadii:
+    """Extremal widths w+/- over node directions and outer/inner radii
+    rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
+    -(outer radius of -u), about the negated center.
+
+    bases starts the outer and inner solves, each from its own basis:
+    pass an earlier result's `bases` from a body on the same grid (a flow
+    passes its previous sample's), or None to start both cold from
+    `_start_basis`. Either start gives the same radii up to rounding.
+    This is the one-body driver, for flows and `verify --suite ball`;
+    a suite of bodies solves cold through `width_radii_stack`, which
+    gives the same bits."""
+    nodes = u.grid.nodes
+    outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
+    outer = _radius_lp(nodes, u.values, outer)
+    return _width_radii(u, outer, _radius_lp(nodes, -u.values, inner))
+
+
+def width_radii_stack(bodies) -> list[WidthRadii | RadiiNonConvergence]:
+    """`width_radii(u)` of each body, all on one grid, cold: the outer
+    and inner solves of every body are one stack (`_radius_lps`), which
+    for a suite of bodies costs a fraction of their one-row solves (for
+    one body it costs more). Returns, per body, its WidthRadii or the
+    error `width_radii` would raise: the outer solve's if both fail."""
+    if not bodies:
+        return []
+    nodes = bodies[0].grid.nodes
+    values = np.array([u.values for u in bodies])
+    U = np.concatenate([values, -values])
+    solved = _radius_lps(nodes, U, np.tile(_start_basis(nodes), (len(U), 1)))
+    out = []
+    for u, outer, inner in zip(bodies, solved, solved[len(bodies):]):
+        failed = [r for r in (outer, inner) if isinstance(r, RadiiNonConvergence)]
+        out.append(failed[0] if failed else _width_radii(u, outer, inner))
+    return out
 
 
 def ball(grid: sg.SphereGrid, radius: float = 1.0,

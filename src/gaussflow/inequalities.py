@@ -34,7 +34,12 @@ from . import sphere_grid as sg
 from . import body as gb
 from . import entropy as ge
 from .body import SupportFunction
-from .errors import CompatibilityViolation, NotASoliton, UnsupportedDimension
+from .errors import (
+    CompatibilityViolation,
+    GaussFlowError,
+    NotASoliton,
+    UnsupportedDimension,
+)
 
 __all__ = [
     "CheckReport",
@@ -172,13 +177,15 @@ def check_width_bounds(u: SupportFunction) -> list[CheckReport]:
     Steinhagen's r >= w/(2 sqrt(d)) for odd d, r >= w sqrt(d+2)/(2(d+1))
     for even d (w/3 in the plane, equilateral triangle); see Bonnesen-
     Fenchel, Theorie der konvexen Koerper (1934)."""
-    d = u.dim + 1
+    return _width_rows(u.dim, _digest(u), gb.width_radii(u))
+
+
+def _width_rows(n: int, inputs: dict, wr: gb.WidthRadii) -> list[CheckReport]:
+    d = n + 1
     jung = math.sqrt(d / (2.0 * (d + 1)))
     steinhagen = (1.0 / (2.0 * math.sqrt(d)) if d % 2
                   else math.sqrt(d + 2.0) / (2.0 * (d + 1)))
-    wr = gb.width_radii(u)
     scale = 1e-8 * max(wr.w_plus, 1.0)
-    inputs = _digest(u)
     return [
         _one_sided("half-max-width-below-outradius", inputs,
                    0.5 * wr.w_plus, wr.rho_plus, scale),
@@ -324,7 +331,7 @@ def alpha_grid(dim: int) -> tuple[float, ...]:
     return tuple(dict.fromkeys((-1.0, 1.0 / (dim + 2), 1.0 / dim, 0.5, 1.0, 2.0, 5.0)))
 
 
-def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
+def body_checks(u: SupportFunction, alphas, radii=None) -> list[CheckReport]:
     """The per-body check list of both suites, made in one pass.
 
     Once per body: the dual-volume product, the width bounds and the
@@ -337,14 +344,23 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     one stacked transform. The volume, the digest keys and the
     normalization check are made once per body, and the rows of one
     exponent share one inputs dict (which the checks writers then
-    render once)."""
+    render once).
+
+    radii is the body's entry of `body.width_radii_stack`, which a suite
+    solves for all its bodies at once: its WidthRadii, or the error of
+    its radius solve, raised here where the width rows stand. None
+    solves the radii of this one body (`body.width_radii`)."""
     alphas = tuple(alphas)
     eps = ge.entropy_points(u, alphas)
     n = u.dim
     keys, vol = _digest(u), gb.volume(u)
     santalo = next((ep for a, ep in zip(alphas, eps) if a == 1.0 / (n + 2)), None)
-    reports = [_santalo_row(u, keys, vol, santalo), *check_width_bounds(u),
-               _affine_row(u, keys, vol)]
+    reports = [_santalo_row(u, keys, vol, santalo)]
+    if radii is None:
+        radii = gb.width_radii(u)
+    elif isinstance(radii, Exception):
+        raise radii
+    reports += [*_width_rows(n, keys, radii), _affine_row(u, keys, vol)]
     _require_normalized(u, vol)
     imaged = [i for i, a in enumerate(alphas) if n == 1 and _has_stability_bound(a)]
     images = dict(zip(imaged, _curvature_images(u, vol, [alphas[i] for i in imaged],
@@ -359,13 +375,46 @@ def body_checks(u: SupportFunction, alphas) -> list[CheckReport]:
     return reports
 
 
+# Bodies whose radii are one stack in `fuzz_suite`; bounds the bodies
+# held at once on a long seed list.
+_FUZZ_BLOCK = 64
+
+
 def fuzz_suite(dim: int, seeds, alphas=None, bandlimit: int | None = None,
                amplitude: float = 0.1) -> list[CheckReport]:
     """body_checks over seeded random bodies and an exponent grid (by
-    default alpha_grid(dim)); returns one flat list of reports."""
+    default alpha_grid(dim)); returns one flat list of reports, in seed
+    order. The radii of all bodies are one cold stacked solve
+    (`body.width_radii_stack`). A seed whose body or checks raise a
+    GaussFlowError gives, in place of its rows, one "check-error" row
+    naming the seed and the first error."""
     if alphas is None:
         alphas = alpha_grid(dim)
     if bandlimit is None:
         bandlimit = 16 if dim == 1 else 8
-    return [r for seed in seeds
-            for r in body_checks(gb.random_body(seed, dim, bandlimit, amplitude), alphas)]
+    seeds = list(seeds)
+    reports = []
+    for b in range(0, len(seeds), _FUZZ_BLOCK):
+        block = []
+        for seed in seeds[b:b + _FUZZ_BLOCK]:
+            try:
+                block.append((seed, gb.random_body(seed, dim, bandlimit, amplitude)))
+            except GaussFlowError as e:
+                block.append((seed, e))
+        built = [u for _, u in block if isinstance(u, SupportFunction)]
+        radii = iter(gb.width_radii_stack(built))
+        for seed, u in block:
+            if isinstance(u, GaussFlowError):
+                reports.append(_error_row(seed, u))
+                continue
+            try:
+                reports.extend(body_checks(u, alphas, next(radii)))
+            except GaussFlowError as e:
+                reports.append(_error_row(seed, e))
+    return reports
+
+
+def _error_row(seed: int, error: GaussFlowError) -> CheckReport:
+    return CheckReport(name="check-error", inputs={"seed": seed, "error": str(error)},
+                       lhs=math.nan, rhs=math.nan, slack=math.nan, tolerance=0.0,
+                       passed=False)

@@ -22,7 +22,7 @@ from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import RunConfig, build_parser, config_digest, main, resolve
-from gaussflow.errors import StepFailure
+from gaussflow.errors import RadiiNonConvergence, StepFailure
 
 
 def read_traj(path):
@@ -86,6 +86,14 @@ class TestMakeBody:
     ])
     def test_usage_errors(self, tmp_path, args):
         assert main(args + ["--out-dir", str(tmp_path)]) == 3
+
+    @pytest.mark.filterwarnings("ignore:field is marginally resolved")
+    def test_under_resolved_ellipsoid_is_a_solver_failure(self, tmp_path, capsys):
+        args = ["make-body", "--shape", "ellipse", "--axes", "2,1,0.5", "--dim", "2"]
+        assert main(args + ["--bandlimit", "8", "--out", str(tmp_path / "e8.json")]) == 2
+        assert ("solver failure: convexity lost at node 90: lambda_min = -6.682e-02"
+                in capsys.readouterr().err)
+        assert main(args + ["--bandlimit", "12", "--out", str(tmp_path / "e12.json")]) == 0
 
 
 class TestFlow:
@@ -269,6 +277,38 @@ class TestVerify:
         assert [r["name"] for r in doc["reports"]] == ["check-error"]
         assert "radius solve stalled" in doc["reports"][0]["inputs"]["error"]
         assert "check-error" in (tmp_path / "checks.csv").read_text()
+
+    def test_a_stalled_seed_leaves_the_other_seeds_rows(self, tmp_path, monkeypatch):
+        # a pivot cap between two seeds' cold pivot counts stalls one
+        # row of the stacked radius solve and no other
+        def pivots_needed(seed):
+            u = gb.random_body(seed, 2, 8, 0.1)
+            with monkeypatch.context() as m:
+                for cap in range(gb._MAX_PIVOTS + 1):
+                    m.setattr(gb, "_MAX_PIVOTS", cap)
+                    try:
+                        gb.width_radii(u)
+                        return cap
+                    except RadiiNonConvergence:
+                        pass
+        stalled, kept = 2, 3
+        assert pivots_needed(kept) < pivots_needed(stalled)
+        args = ["verify", "--suite", "fuzz", "--dim", "2", "--bandlimit", "8",
+                "--seeds", f"{stalled},{kept}"]
+        assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+        monkeypatch.setattr(gb, "_MAX_PIVOTS", pivots_needed(kept))
+        assert main(args + ["--out-dir", str(tmp_path / "capped")]) == 2
+        plain, capped = (json.loads((tmp_path / d / "checks.json").read_text())["reports"]
+                         for d in ("plain", "capped"))
+        assert capped[0]["name"] == "check-error"
+        assert capped[0]["inputs"]["seed"] == stalled
+        assert "radius solve stalled" in capped[0]["inputs"]["error"]
+        kept_rows = len(capped) - 1
+        assert capped[1:] == plain[-kept_rows:]
+        plain_csv, capped_csv = ((tmp_path / d / "checks.csv").read_text().splitlines()
+                                 for d in ("plain", "capped"))
+        assert capped_csv[-kept_rows:] == plain_csv[-kept_rows:]
+        assert len(plain) == 2 * kept_rows
 
     @pytest.mark.parametrize("sub", ["verify", "sweep"])
     @pytest.mark.parametrize("seeds", [["--seeds="], ["--seed-count=0"],
