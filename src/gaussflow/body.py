@@ -255,6 +255,11 @@ class WidthRadii(NamedTuple):
     differ. No output file writes a center. bases holds the optimal bases
     of the outer and inner solves, to start the next body's on the same
     grid (see `width_radii`).
+
+    Two drivers make it, with the same bits: `width_radii` solves one
+    body, cold or from given bases (flows, the ball suite), and
+    `width_radii_stack` solves a suite's bodies cold as one stack (the
+    fuzz suite).
     """
 
     w_plus: float
@@ -352,6 +357,8 @@ def _radius_lps(nodes: NDArray, U: NDArray,
         lam = Minv[:, :, 0]
         refused = (pivots == 0) & (lam.min(axis=1) < -1e-12)
         ub = np.take_along_axis(U, basis, axis=1)
+        # stacked matmul makes each row's product the one-row solve's
+        # (einsum sums in another order and moves rho in the last bit)
         y = np.matmul(Minv.transpose(0, 2, 1), ub[:, :, None])[:, :, 0]
         level = U - np.matmul(nodes, y[:, 1:, None])[:, :, 0]
         excess = level - y[:, :1]
@@ -416,8 +423,8 @@ def width_radii(u: SupportFunction,
     gives the same bits."""
     nodes = u.grid.nodes
     outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
-    outer = _radius_lp(nodes, u.values, outer)
-    return _width_radii(u, outer, _radius_lp(nodes, -u.values, inner))
+    return _width_radii(u, _radius_lp(nodes, u.values, outer),
+                        _radius_lp(nodes, -u.values, inner))
 
 
 def width_radii_stack(bodies) -> list[WidthRadii | RadiiNonConvergence]:

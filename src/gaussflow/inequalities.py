@@ -17,7 +17,7 @@ slack convention, so a suite of checks over random bodies reduces to
 
 body_checks is the per-body list that both verify suites run, made in
 one pass over the body; fuzz_suite runs it over seeded random bodies and
-an exponent grid.
+an exponent grid, after solving the radii of all its bodies as one stack.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import main
 from gaussflow.errors import (CompatibilityViolation, ConvexityLost, NotASoliton,
-                              UnsupportedDimension)
+                              RandomBodyFailure, UnsupportedDimension)
 
 BALL_L = {1: 16, 2: 8}
 
@@ -278,6 +278,26 @@ class TestFuzzSuite:
         assert len(reports) == 9
         assert names.count("entropy-nonnegative") == 1
         assert all(r.passed for r in reports)
+
+    def test_a_failed_body_stays_out_of_the_stack(self, monkeypatch):
+        # seed 1 fails to build: one check-error row in its place, and the
+        # other seeds' rows are those of an unbroken run in radius stacks
+        # of any size
+        whole = gi.fuzz_suite(1, range(5))
+        random_body = gb.random_body
+
+        def fail_seed_1(seed, *args, **kwargs):
+            if seed == 1:
+                raise RandomBodyFailure("no draw")
+            return random_body(seed, *args, **kwargs)
+
+        monkeypatch.setattr(gb, "random_body", fail_seed_1)
+        monkeypatch.setattr(gi, "_FUZZ_BLOCK", 2)
+        broken = gi.fuzz_suite(1, range(5))
+        rows = len(whole) // 5
+        assert broken[rows].name == "check-error"
+        assert broken[rows].inputs == {"seed": 1, "error": "no draw"}
+        assert broken[:rows] + broken[rows + 1:] == whole[:rows] + whole[2 * rows:]
 
 
 def smoothed_triangle(eps=0.05, L=128):
