@@ -9,11 +9,12 @@ the surface-area measure density and K = 1/f the Gauss curvature.
 
 Uniform convexity (lambda_min(A) > 0 at every node) is enforced eagerly:
 constructing a SupportFunction computes the curvature data once, caches
-it, and raises ConvexityLost if A is not positive definite. A body can
-also be made from curvature data already in hand (`with_geometry`),
-without a transform: `scale` dilates a body by scaling its cached data,
-and a flow step advances the cached data by its stages' increments,
-which it checks as a build would.
+it, and raises ConvexityLost if A is not positive definite;
+`support_functions` builds a stack of fields in one transform, each row
+as that build would. A body can also be made from curvature data
+already in hand (`with_geometry`), without a transform: `scale` dilates
+a body by scaling its cached data, and a flow step advances the cached
+data by its stages' increments, which it checks as a build would.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from numpy.typing import NDArray
 from . import sphere_grid as sg
 from .errors import (
     ConvexityLost,
-    GridMismatch,
     NotInterior,
     RadiiNonConvergence,
     RandomBodyFailure,
@@ -47,13 +47,14 @@ __all__ = [
     "WidthRadii",
     "dual_volume",
     "boundary_points",
-    "hausdorff_distance",
     "random_body",
     "ball",
     "ellipse",
     "normalize_volume",
     "scale",
     "with_geometry",
+    "support_functions",
+    "random_bodies",
 ]
 
 
@@ -89,29 +90,41 @@ class BodyGeometry:
         return sg.frame_gradient(self.frame)
 
 
-def curvature_invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
-    """det A and lambda_min(A) per node of a frame; raises ConvexityLost
-    at the node of the smallest lambda_min unless every one is positive."""
+def _invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
+    """det A and lambda_min(A) per node of a frame or a stack of frames."""
     entries = sg.tensor_rows(frame)
     if len(entries) == 1:
         f = entries[0].copy()
-        lam = f.copy()
-    else:
-        a, b, c = entries
-        f = a * c - b * b
-        lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
+        return f, f.copy()
+    a, b, c = entries
+    return a * c - b * b, 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
+
+
+def curvature_invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
+    """det A and lambda_min(A) per node of a frame; raises ConvexityLost
+    at the node of the smallest lambda_min unless every one is positive."""
+    f, lam = _invariants(frame)
     i = int(lam.argmin())
     if lam[i] <= 0.0:
         raise ConvexityLost(i, lam[i])
     return f, lam
 
 
-def _curvature_arrays(grid: sg.SphereGrid, values: NDArray) -> BodyGeometry:
+def _geometries(grid: sg.SphereGrid, values: NDArray) -> list[BodyGeometry | ConvexityLost]:
+    """The curvature data of a field, or of each row of a (k, nodes)
+    stack of fields, from one `frame_hessian`, or the ConvexityLost of a
+    field whose A is not positive definite (at its node of the smallest
+    lambda_min). Every step is row by row or elementwise, so a row's data
+    has the bits of that field alone."""
     fd = sg.frame_hessian(grid, values)
-    frame = sg.frame_of(values, fd.hessian, fd.gradient)
-    f, lam = curvature_invariants(frame)
-    frame.setflags(write=False)
-    return BodyGeometry(frame=frame, f=f, K=1.0 / f, lam_min=lam, spectrum=fd.spectrum)
+    frames = sg.frame_of(values, fd.hessian, fd.gradient)
+    frames.setflags(write=False)
+    f, lam = _invariants(frames)
+    with np.errstate(divide="ignore"):  # a rejected row may have f = 0
+        K = 1.0 / f
+    rows = [a if values.ndim == 2 else a[None] for a in (frames, f, K, lam, fd.spectrum)]
+    return [BodyGeometry(*row) if row[3][j] > 0.0 else ConvexityLost(j, row[3][j])
+            for j, row in zip(rows[3].argmin(axis=1).tolist(), zip(*rows))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +152,9 @@ class SupportFunction:
         if basepoint.shape != (self.grid.dim + 1,):
             raise ValueError(f"basepoint must be a vector in R^{self.grid.dim + 1}")
         basepoint.setflags(write=False)
-        geometry = _curvature_arrays(self.grid, values)
+        geometry = _geometries(self.grid, values)[0]
+        if isinstance(geometry, ConvexityLost):
+            raise geometry
         object.__setattr__(self, "values", geometry.frame[0])
         object.__setattr__(self, "basepoint", basepoint)
         object.__setattr__(self, "_geometry", geometry)
@@ -160,18 +175,36 @@ def support_about(u: SupportFunction, z: NDArray) -> SupportFunction:
     return SupportFunction(u.grid, u.values - u.grid.nodes @ z, u.basepoint + z)
 
 
+def _attach(grid: sg.SphereGrid, basepoint: NDArray, geometry: BodyGeometry) -> SupportFunction:
+    """The body with this grid, basepoint and curvature data, without a
+    transform or a check; its values are row 0 of the frame."""
+    geometry.frame.setflags(write=False)
+    out = object.__new__(SupportFunction)  # skips __post_init__
+    for name, value in (("grid", grid), ("values", geometry.frame[0]),
+                        ("basepoint", basepoint), ("_geometry", geometry)):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def with_geometry(u: SupportFunction, geometry: BodyGeometry) -> SupportFunction:
     """The body on u's grid and basepoint with this curvature data, whose
     frame's row 0 gives its support values; made without a transform and
     without a check, so the caller answers for `geometry` being the data
     of a convex body (a dilate in `scale`, a checked RK4 combination in
     `flow.step`). Takes ownership of the frame, which it makes read-only."""
-    geometry.frame.setflags(write=False)
-    out = object.__new__(SupportFunction)  # skips __post_init__
-    for name, value in (("grid", u.grid), ("values", geometry.frame[0]),
-                        ("basepoint", u.basepoint), ("_geometry", geometry)):
-        object.__setattr__(out, name, value)
-    return out
+    return _attach(u.grid, u.basepoint, geometry)
+
+
+def support_functions(grid: sg.SphereGrid, values: NDArray) -> list[SupportFunction | ConvexityLost]:
+    """A body about the origin for each row of the (k, nodes) stack
+    `values`, from one transform of the stack: per row the body that
+    `SupportFunction(grid, row)` builds, with its bits, or the
+    ConvexityLost that build raises. The one-row build is this stack's
+    one-row case."""
+    origin = np.zeros(grid.dim + 1)
+    origin.setflags(write=False)
+    return [g if isinstance(g, ConvexityLost) else _attach(grid, origin, g)
+            for g in _geometries(grid, np.asarray(values, dtype=float))]
 
 
 def scale(u: SupportFunction, s: float) -> SupportFunction:
@@ -227,19 +260,6 @@ def boundary_points(u: SupportFunction) -> NDArray:
     if u.dim == 2:
         X = X + g.gradient[:, 1][:, None] * u.grid.tangent2
     return X
-
-
-def hausdorff_distance(u1: SupportFunction, u2: SupportFunction) -> float:
-    """Max absolute support difference; requires a common grid and basepoint.
-
-    Grids are compared by (dim, bandlimit), which fixes their nodes, so a
-    grid built directly or evicted from the `build_grid` cache still matches.
-    """
-    if (u1.grid.dim, u1.grid.bandlimit) != (u2.grid.dim, u2.grid.bandlimit):
-        raise GridMismatch("support functions live on different grids")
-    if not np.allclose(u1.basepoint, u2.basepoint, atol=1e-12):
-        raise GridMismatch("support functions use different basepoints")
-    return float(np.abs(u1.values - u2.values).max())
 
 
 class WidthRadii(NamedTuple):
@@ -480,33 +500,51 @@ def normalize_volume(u: SupportFunction) -> SupportFunction:
 
 def random_body(seed: int, dim: int, bandlimit: int, amplitude: float,
                 centrally_symmetric: bool = False) -> SupportFunction:
-    """Seeded random perturbation of the unit ball, volume-normalized.
+    """Seeded random perturbation of the unit ball, volume-normalized: the
+    one-seed case of `random_bodies`, whose error it raises."""
+    u = random_bodies([seed], dim, bandlimit, amplitude, centrally_symmetric)[0]
+    if isinstance(u, RandomBodyFailure):
+        raise u
+    return u
+
+
+def random_bodies(seeds, dim: int, bandlimit: int, amplitude: float,
+                  centrally_symmetric: bool = False) -> list[SupportFunction | RandomBodyFailure]:
+    """Seeded random perturbations of the unit ball, volume-normalized,
+    one per seed, each drawn from its own generator.
 
     u = 1 + sum of coefficients over degrees 2..min(6, L) decaying like
-    degree^-3 (even degrees only when centrally_symmetric). Draws are
-    rejected and retried with halved amplitude until lambda_min(A) >= 0.05;
-    gives up after 50 rejections.
+    degree^-3 (even degrees only when centrally_symmetric). A seed's draw
+    is rejected and redrawn with halved amplitude until lambda_min(A) >=
+    0.05; it gives up (RandomBodyFailure in its place) after 50
+    rejections. Each round synthesizes and builds the draws of every seed
+    still drawing as one stack (`support_functions`), so a seed's body
+    does not depend on the other seeds.
     """
     if not 0.0 <= amplitude < 1.0:
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
+    seeds = list(seeds)
     grid = sg.build_grid(dim, bandlimit)
-    rng = np.random.default_rng(seed)
-    degrees = [d for d in range(2, min(6, bandlimit) + 1)
-               if not (centrally_symmetric and d % 2)]
-    amp = float(amplitude)
+    degrees = [d for d in range(2, min(6, bandlimit) + 1) if not (centrally_symmetric and d % 2)]
+    blocks = [(d**3, np.flatnonzero(grid.degrees == d)) for d in degrees]
+    out: list = [None] * len(seeds)
+    drawing = [(i, np.random.default_rng(seed), float(amplitude)) for i, seed in enumerate(seeds)]
     for _ in range(51):
-        coeffs = np.zeros(grid.coeff_count)
-        for d in degrees:
-            of_degree = grid.degrees == d
-            coeffs[of_degree] = rng.standard_normal(of_degree.sum()) * amp / d**3
-        values = 1.0 + sg.synthesize(grid, coeffs)
-        try:
-            u = SupportFunction(grid, values, np.zeros(dim + 1))
-        except ConvexityLost:
-            amp *= 0.5
-            continue
-        if curvature_data(u).lam_min.min() < 0.05:
-            amp *= 0.5
-            continue
-        return normalize_volume(u)
-    raise RandomBodyFailure(f"no uniformly convex draw after 50 rejections (seed {seed})")
+        if not drawing:
+            break
+        coeffs = np.zeros((len(drawing), grid.coeff_count))
+        for row, (_, rng, amp) in zip(coeffs, drawing):
+            for cube, index in blocks:
+                row[index] = rng.standard_normal(index.size) * amp / cube
+        built = support_functions(grid, 1.0 + np.array([sg.synthesize(grid, c) for c in coeffs]))
+        redraw = []
+        for (i, rng, amp), u in zip(drawing, built):
+            if isinstance(u, ConvexityLost) or curvature_data(u).lam_min.min() < 0.05:
+                redraw.append((i, rng, amp * 0.5))
+            else:
+                out[i] = normalize_volume(u)
+        drawing = redraw
+    for i, _, _ in drawing:
+        out[i] = RandomBodyFailure(
+            f"no uniformly convex draw after 50 rejections (seed {seeds[i]})")
+    return out

@@ -13,8 +13,10 @@ alpha < 0) is the entropy point; its stationarity condition is
 The solver is a damped Newton iteration with closed-form gradient and
 Hessian of the z-dependence; for alpha < 0 it minimizes the convex
 functional avg u_z^p (p = 1 - 1/alpha in (1, 2)), which has the same
-unique stationary point. `entropy_points` runs it for several exponents
-at once, one row per exponent; `entropy_point` is its one-row case.
+unique stationary point. `entropy_points_stack` runs it for several
+bodies and exponents at once, one row per (body, exponent), each row with
+the bits of its own solve; `entropy_points` is its one-body case and
+`entropy_point` its one-row case.
 """
 
 from __future__ import annotations
@@ -30,17 +32,17 @@ from numpy.typing import NDArray
 
 from . import sphere_grid as sg
 from .body import SupportFunction, curvature_data, dual_volume
-from .errors import AlphaZero, NonConvergence, NotInterior
+from .errors import AlphaZero, GaussFlowError, NonConvergence, NotInterior
 
 __all__ = [
     "EntropyResult",
     "entropy_at",
     "entropy_point",
     "entropy_points",
+    "entropy_points_stack",
     "santalo_point",
     "SantaloPoint",
     "zalpha",
-    "concavity_probe",
     "steiner_point",
 ]
 
@@ -78,15 +80,20 @@ def _shifted(u: SupportFunction, z: NDArray) -> NDArray:
 def entropy_at(u: SupportFunction, z: NDArray, alpha: float) -> float:
     """Entropy of the body about basepoint + z."""
     alpha = _check_alpha(alpha)
-    return _entropy(u.grid, _shifted(u, z), alpha)
+    return float(_entropy(u.grid, _shifted(u, z), alpha))
 
 
-def _entropy(grid: sg.SphereGrid, uz: NDArray, alpha: float) -> float:
-    """Entropy from the support values uz about the chosen point."""
+def _entropy(grid: sg.SphereGrid, uz: NDArray, alpha: float) -> NDArray:
+    """Entropy from the support values uz about the chosen point, or from
+    each row of a (k, nodes) stack of them, with the bits of that row
+    alone: the exponent is a scalar and each row's average one product
+    (see `_moments`)."""
+    def average(x):
+        return (x[..., None, :] @ grid.weights)[..., 0] / sg.sphere_area(grid.dim)
+
     if abs(alpha - 1.0) < ALPHA_ONE_WINDOW:
-        return sg.average(grid, np.log(uz))
-    p = 1.0 - 1.0 / alpha
-    return alpha / (alpha - 1.0) * np.log(sg.average(grid, uz**p))
+        return average(np.log(uz))
+    return alpha / (alpha - 1.0) * np.log(average(uz ** (1.0 - 1.0 / alpha)))
 
 
 def steiner_point(u: SupportFunction) -> NDArray:
@@ -100,24 +107,34 @@ def _moments(grid: sg.SphereGrid, uz: NDArray, pm1: NDArray):
     """The stationarity system of each row of the (k, nodes) stack uz,
     with pm1 the (k, 1) column of p - 1: S = int u^p, g = int u^(p-1) x,
     M = int u^(p-2) x x^T, the normalizer int u^(p-1) = int u^(-1/alpha)
-    and the residual |g| / normalizer. A row's arithmetic is that of a
-    one-row stack."""
-    w1 = uz ** pm1
+    and the residual |g| / normalizer. A row's bits are those of a
+    one-row stack, whatever k is: the power is `sg.row_power`, and each
+    product is taken per row ((k, 1, nodes) @ (nodes, d)), since one
+    (k, nodes) @ (nodes, d) product rounds a row differently for
+    different k."""
+    w1 = sg.row_power(uz, pm1)
     w1 *= grid.weights
-    g = w1 @ grid.nodes
+    g = (w1[:, None] @ grid.nodes)[:, 0]
     M = grid.nodes.T @ (grid.nodes * (w1 / uz)[:, :, None])
     scale = np.add.reduce(w1, axis=1)
     return np.vecdot(w1, uz), g, M, scale, np.sqrt(np.vecdot(g, g)) / scale
 
 
-class _Exponents(NamedTuple):
+def _support_rows(values: NDArray, z: NDArray, nodes_t: NDArray) -> NDArray:
+    """u - <z, x> for each row of the value stack and of the points z,
+    one product per row (see `_moments`)."""
+    return values - (z[:, None] @ nodes_t)[:, 0]
+
+
+class _Rows(NamedTuple):
     """The rows of a stacked solve still iterating, each field shaped to
-    broadcast against the row stacks it meets: the exponent's place in
-    the caller's order, alpha, p = 1 - 1/alpha and p - 1, whether the row
-    takes the descent step (alpha < 0), and the divisor of its solved
-    step (-1 for ascent, p - 1 for descent)."""
+    broadcast against the row stacks it meets: the row's place in the
+    stack, its body's support values, alpha, p = 1 - 1/alpha and p - 1,
+    whether the row takes the descent step (alpha < 0), and the divisor
+    of its solved step (-1 for ascent, p - 1 for descent)."""
 
     index: NDArray  # (k,)
+    values: NDArray  # (k, nodes)
     alpha: NDArray  # (k, 1, 1)
     p: NDArray  # (k,)
     pm1: NDArray  # (k, 1)
@@ -140,15 +157,25 @@ class _Iterates(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _exponents(alphas: tuple) -> _Exponents:
-    """The rows of a stacked solve of these (checked) exponents. They
-    depend on the exponents only, so each list is made once; nothing
-    writes to them (`_take` copies)."""
+def _exponent_rows(alphas: tuple, bodies: int) -> tuple:
+    """The `_Rows` fields but the values of a stack of these (checked)
+    exponents for that many bodies. They depend on the exponents and the
+    count only, so each is made once; nothing writes to them (`_take`
+    copies)."""
     table = np.array([(a, p, p - 1.0, a < 0.0, p - 1.0 if a < 0.0 else -1.0)
-                      for a in alphas for p in (1.0 - 1.0 / a,)])
-    table.flags.writeable = False
-    return _Exponents(np.arange(len(alphas)), table[:, 0, None, None], table[:, 1],
-                      table[:, 2:3], table[:, 3, None, None] > 0.0, table[:, 4:])
+                      for a in alphas for p in (1.0 - 1.0 / a,)] * bodies)
+    fields = (np.arange(len(table)), table[:, 0, None, None], table[:, 1], table[:, 2:3],
+              table[:, 3, None, None] > 0.0, table[:, 4:])
+    for a in fields:
+        a.flags.writeable = False
+    return fields
+
+
+def _rows(values: NDArray, alphas: tuple) -> _Rows:
+    """The rows of a stacked solve of every (checked) exponent for each
+    body in the (bodies, nodes) stack `values`, body by body."""
+    index, *exponents = _exponent_rows(alphas, len(values))
+    return _Rows(index, values.repeat(len(alphas), axis=0), *exponents)
 
 
 def _take(rows, keep):
@@ -165,7 +192,7 @@ def _solve(B: NDArray, g: NDArray) -> NDArray:
     return _umath_linalg.solve1(B, g, signature="dd->d")
 
 
-def _newton_steps(ex: _Exponents, at: _Iterates) -> NDArray:
+def _newton_steps(ex: _Rows, at: _Iterates) -> NDArray:
     """The step of each row: B dz = -g with B = M/alpha + (p/S) g g^T
     (ascent, alpha > 0), or M dz = g/(p - 1) (descent, alpha < 0); where
     that solve fails, the gradient direction scaled to min u_z."""
@@ -179,10 +206,10 @@ def _newton_steps(ex: _Exponents, at: _Iterates) -> NDArray:
     return dz
 
 
-def _stop(found: list, ex: _Exponents, at: _Iterates, stop: list, it: int):
+def _stop(found: list, ex: _Rows, at: _Iterates, stop: list, it: int):
     """Note the rows flagged in the list `stop` as stopped at iteration
     `it` (their residual, point, support values and iteration, by
-    exponent) and return the rows left, or None if none is."""
+    stack row) and return the rows left, or None if none is."""
     for i, s in enumerate(stop):
         if s:
             found[ex.index[i]] = (float(at.res[i]), at.z[i], at.uz[i], it)
@@ -200,32 +227,60 @@ def entropy_point(u: SupportFunction, alpha: float) -> EntropyResult:
 
 def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
     """The entropy point of each exponent, all solved as one damped Newton
-    iteration that shares each moment evaluation and each (batched) solve.
+    iteration: the one-body case of `entropy_points_stack`, whose error
+    it raises."""
+    out = entropy_points_stack([u], alphas)[0]
+    if isinstance(out, GaussFlowError):
+        raise out
+    return out
 
-    Every exponent is a row with its own rules. It starts at the Steiner
-    point; it stops when |int x u_z^(-1/alpha)| <= 1e-13 times
+
+def entropy_points_stack(bodies, alphas) -> list[list[EntropyResult] | GaussFlowError]:
+    """The entropy point of each exponent for each body, all on one grid,
+    solved as one damped Newton iteration over the (body, exponent) rows
+    that shares each moment evaluation and each (batched) solve.
+
+    Every row has its own rules. It starts at its body's Steiner point;
+    it stops when |int x u_z^(-1/alpha)| <= 1e-13 times
     int u_z^(-1/alpha), after MAX_ITER steps, or when no step helps; its
     best residual must be at most GRAD_TOL. Its step halves until
     min u_z > 0.1 * (its current min), so every iterate is strictly
     interior, and is taken once it lowers the residual (any interior step
     below a length of 1e-6). For alpha < 0 it is the descent Newton step
     of the convex functional avg u^p; where the solve fails it is the
-    gradient direction. Raises NonConvergence for the first exponent, in
-    the given order, whose row does not converge.
+    gradient direction. A row's arithmetic does not depend on the other
+    rows (see `_moments`), so it gives the bits of its body's and
+    exponent's solve alone.
+
+    Returns, per body, its EntropyResult per exponent or the error its
+    own solve raises: AlphaZero, NotInterior if its Steiner point is not
+    interior, or the NonConvergence of the first exponent, in the given
+    order, whose row does not converge.
     """
-    alphas = tuple(_check_alpha(a) for a in alphas)
-    if not alphas:
-        return []
-    grid, values, nodes_t = u.grid, u.values, u.grid.nodes.T
-    ex = _exponents(alphas)
-    z = steiner_point(u)[None].repeat(len(alphas), axis=0)
-    uz = values - z @ nodes_t
+    try:
+        alphas = tuple(_check_alpha(a) for a in alphas)
+    except AlphaZero as e:
+        return [e] * len(bodies)
+    if not alphas or not bodies:
+        return [[] for _ in bodies]
+    grid = bodies[0].grid
+    nodes_t, J = grid.nodes.T, len(alphas)
+    ex = _rows(np.array([u.values for u in bodies]), alphas)
+    z = np.array([steiner_point(u) for u in bodies]).repeat(J, axis=0)
+    uz = _support_rows(ex.values, z, nodes_t)
     m = np.minimum.reduce(uz, axis=1)
-    if m[0] <= 0.0:
-        raise NotInterior(z[0], m[0])
+    out: list = [None] * len(bodies)
+    found = [None] * len(m)  # per row: residual, point, u_z, iteration
+    best = {}  # per row: an earlier residual, point and iteration that may win
+    outside = (m[::J] <= 0.0).tolist()
+    if any(outside):
+        for b in (b for b, o in enumerate(outside) if o):
+            out[b] = NotInterior(z[b * J], m[b * J])
+        if all(outside):
+            return out
+        interior = np.repeat(outside, J) == 0
+        ex, z, uz, m = _take(ex, interior), z[interior], uz[interior], m[interior]
     at = _Iterates(z, uz, m, *_moments(grid, uz, ex.pm1))
-    found = [None] * len(alphas)  # per exponent: residual, point, u_z, iteration
-    best = {}  # per exponent: an earlier residual, point and iteration that may win
     for it in range(1, MAX_ITER + 1):
         stop = (at.res <= 1e-13).tolist()
         if any(stop):
@@ -234,14 +289,14 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
                 break
             ex, at = left
         dz = _newton_steps(ex, at)
-        # the rows still looking for a step: their place in `at`, point,
-        # step, interior floor, p - 1 and residual
-        look, z0, dz0, floor, pm1, res = (np.arange(len(ex.index)), at.z, dz, 0.1 * at.m,
-                                          ex.pm1, at.res)
+        # the rows still looking for a step: their place in `at`, body
+        # values, point, step, interior floor, p - 1 and residual
+        look, values, z0, dz0, floor, pm1, res = (np.arange(len(ex.index)), ex.values, at.z,
+                                                  dz, 0.1 * at.m, ex.pm1, at.res)
         t = 1.0
         for _ in range(60):
             z_try = z0 + t * dz0
-            uz_try = values - z_try @ nodes_t
+            uz_try = _support_rows(values, z_try, nodes_t)
             m_try = np.minimum.reduce(uz_try, axis=1)
             inside = m_try > floor
             rows, pm1_in, res_in = look, pm1, res
@@ -265,8 +320,8 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
                     a[rows[took]] = b[took]
                 waiting = ~inside
                 waiting[inside] = ~took
-                look, z0, dz0, floor, pm1, res = (a[waiting]
-                                                  for a in (look, z0, dz0, floor, pm1, res))
+                look, values, z0, dz0, floor, pm1, res = (
+                    a[waiting] for a in (look, values, z0, dz0, floor, pm1, res))
                 if not look.size:
                     look = ()
                     break
@@ -279,16 +334,33 @@ def entropy_points(u: SupportFunction, alphas) -> list[EntropyResult]:
             ex, at = left
     else:
         _stop(found, ex, at, [True] * len(ex.index), MAX_ITER)
-    results = []
-    for r, (a, (res, z, uz, it)) in enumerate(zip(alphas, found)):
-        if r in best and best[r][0] < res:
-            res, z, it = best[r]
-            uz = _shifted(u, z)
-        if res > GRAD_TOL:
-            raise NonConvergence(it, res)
-        results.append(EntropyResult(value=_entropy(grid, uz, a), point=z,
-                                     gradient_norm=res, iterations=it))
-    return results
+    for b, u in enumerate(bodies):
+        if out[b] is None:
+            try:
+                out[b] = [_final(u, found[r], best.get(r)) for r in range(b * J, b * J + J)]
+            except GaussFlowError as e:
+                out[b] = e
+    solved = [b for b, rows in enumerate(out) if isinstance(rows, list)]
+    if solved:
+        uz = np.array([[uz for _, _, uz, _ in out[b]] for b in solved])
+        values = np.array([_entropy(grid, uz[:, j], a) for j, a in enumerate(alphas)]).T
+        for b, row in zip(solved, values.tolist()):
+            out[b] = [EntropyResult(value=v, point=z, gradient_norm=res, iterations=it)
+                      for v, (res, z, _, it) in zip(row, out[b])]
+    return out
+
+
+def _final(u: SupportFunction, found, best) -> tuple:
+    """The residual, point, u_z and iteration a row ends with: those it
+    stopped with (`found`), or the earlier `best` iterate if its residual
+    is lower; raises NonConvergence past GRAD_TOL."""
+    res, z, uz, it = found
+    if best is not None and best[0] < res:
+        res, z, it = best
+        uz = _shifted(u, z)
+    if res > GRAD_TOL:
+        raise NonConvergence(it, res)
+    return res, z, uz, it
 
 
 class SantaloPoint(NamedTuple):
@@ -313,15 +385,3 @@ def zalpha(u: SupportFunction, alpha: float) -> float:
         return float(np.exp(sg.average(u.grid, np.log(K))))
     return float(sg.average(u.grid, K ** (alpha - 1.0)) ** (1.0 / (alpha - 1.0)))
 
-
-def concavity_probe(u: SupportFunction, alpha: float, z1: NDArray,
-                    z2: NDArray) -> bool:
-    """Midpoint concavity test of z -> E_alpha(u, z); all three points must
-    be interior."""
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    mid = 0.5 * (z1 + z2)
-    e_mid = entropy_at(u, mid, alpha)
-    e1 = entropy_at(u, z1, alpha)
-    e2 = entropy_at(u, z2, alpha)
-    return bool(e_mid >= 0.5 * (e1 + e2) - 1e-12)

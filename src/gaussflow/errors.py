@@ -6,14 +6,12 @@ __all__ = [
     "GaussFlowError",
     "ConvexityLost",
     "NotInterior",
-    "GridMismatch",
     "AlphaZero",
     "NonConvergence",
     "RandomBodyFailure",
     "RadiiNonConvergence",
     "StepFailure",
     "CompatibilityViolation",
-    "NotASoliton",
     "UnsupportedDimension",
 ]
 
@@ -38,10 +36,6 @@ class NotInterior(GaussFlowError):
         self.point = point
         self.min_support = float(min_support)
         super().__init__(f"point {point} not interior: min support {self.min_support:.3e}")
-
-
-class GridMismatch(GaussFlowError):
-    """Two support functions do not share a grid/basepoint frame."""
 
 
 class AlphaZero(GaussFlowError):
@@ -93,15 +87,6 @@ class CompatibilityViolation(GaussFlowError):
     def __init__(self, norm: float):
         self.norm = float(norm)
         super().__init__(f"degree-1 component of density too large: {self.norm:.3e}")
-
-
-class NotASoliton(GaussFlowError):
-    """Input body fails the self-similarity residual precondition."""
-
-    def __init__(self, residual: float, threshold: float):
-        self.residual = float(residual)
-        self.threshold = float(threshold)
-        super().__init__(f"soliton residual {residual:.3e} exceeds {threshold:.3e}")
 
 
 class UnsupportedDimension(GaussFlowError):

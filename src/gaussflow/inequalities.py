@@ -13,11 +13,11 @@ slack convention, so a suite of checks over random bodies reduces to
   (n=1 only) reconstruction by a diagonal Fourier solve
 - the entropy lower bound through the curvature image (n=1; reversed
   for negative exponents)
-- structural properties of flow solitons
 
 body_checks is the per-body list that both verify suites run, made in
 one pass over the body; fuzz_suite runs it over seeded random bodies and
-an exponent grid, after solving the radii of all its bodies as one stack.
+an exponent grid, after solving the bodies, radii, entropy points and
+curvature images of a whole job as stacks.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from . import entropy as ge
 from .body import SupportFunction
 from .errors import (
     CompatibilityViolation,
+    ConvexityLost,
     GaussFlowError,
-    NotASoliton,
     UnsupportedDimension,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "CurvatureImage",
     "curvature_image",
     "check_entropy_stability",
-    "check_soliton_properties",
     "alpha_grid",
     "body_checks",
     "fuzz_suite",
@@ -216,36 +215,59 @@ def curvature_image(u: SupportFunction, alpha: float, ep=None) -> CurvatureImage
     1e-9 it raises CompatibilityViolation. For n=1 the body with this
     curvature density is recovered by dividing Fourier modes by 1 - k^2
     (degree-1 modes verified tiny, then zeroed)."""
-    return _curvature_images(u, gb.volume(u), [alpha], [_entropy_point(u, alpha, ep)])[0]
+    return _one_body_images(u, gb.volume(u), [alpha], [_entropy_point(u, alpha, ep)])[0]
 
 
-def _curvature_images(u: SupportFunction, vol: float, alphas, eps) -> list[CurvatureImage]:
-    """`curvature_image` of each exponent with its entropy point, for the
-    body u of volume vol: the densities as one stack and, for n=1, the
-    image bodies from one analysis and one synthesis of that stack.
-    Raises for the first exponent, in order, whose image fails a check."""
-    grid = u.grid
-    a = np.array(alphas)[:, None]
-    u_e = u.values - np.array([ep.point for ep in eps]) @ grid.nodes.T
-    pref = (vol / sg.ball_volume(u.dim)) * np.exp(
-        -((a - 1.0) / a) * np.array([[ep.value] for ep in eps]))
-    density = pref * u_e ** (-1.0 / a)
-    bad = [np.abs((grid.weights * density) @ grid.nodes).max(axis=1)]
-    mixed = (u_e * density) @ grid.weights / (u.dim + 1)
-    if u.dim == 1:
+def _one_body_images(u: SupportFunction, vol: float, alphas, eps) -> list[CurvatureImage]:
+    images = _curvature_images([u], [vol], alphas, [eps])[0]
+    if isinstance(images, GaussFlowError):
+        raise images
+    return images
+
+
+def _curvature_images(bodies, vols, alphas, eps) -> list[list[CurvatureImage] | GaussFlowError]:
+    """`curvature_image` of each exponent for each body, all on one grid,
+    with vols their volumes and eps[b] the entropy points of body b. The
+    densities of all (body, exponent) rows are one stack and, for n=1, the
+    image bodies one analysis, one synthesis and one stacked build
+    (`body.support_functions`); each row's products are taken one per row,
+    so its bits do not depend on the others. Returns, per body, its images
+    or the error of its first exponent, in order, whose image fails a
+    check: a CompatibilityViolation of any exponent comes before a
+    ConvexityLost of an image body."""
+    grid, J = bodies[0].grid, len(alphas)
+    n = grid.dim
+    points = [ep for row in eps for ep in row]
+    a = np.tile(alphas, len(bodies))[:, None]
+    u_e = np.repeat([u.values for u in bodies], J, axis=0) - (
+        np.array([ep.point for ep in points])[:, None] @ grid.nodes.T)[:, 0]
+    pref = (np.repeat(vols, J)[:, None] / sg.ball_volume(n)) * np.exp(
+        -((a - 1.0) / a) * np.array([[ep.value] for ep in points]))
+    density = pref * sg.row_power(u_e, -1.0 / a)
+    bad = [np.abs(((grid.weights * density)[:, None] @ grid.nodes)[:, 0]).max(axis=1)]
+    mixed = ((u_e * density)[:, None] @ grid.weights)[:, 0] / (n + 1)
+    if n == 1:
         c = sg.analyze(grid, density)
         k = grid.degrees
         bad.append(np.abs(c[:, k == 1]).max(axis=1))
         c[:, k == 1] = 0.0
         c[:, k >= 2] /= 1.0 - k[k >= 2] ** 2
-    for norms in zip(*bad):
-        for norm in norms:
-            if norm > 1e-9:
-                raise CompatibilityViolation(float(norm))
-    bodies = ([SupportFunction(grid, v) for v in sg.synthesize(grid, c)] if u.dim == 1
-              else [None] * len(alphas))
-    return [CurvatureImage(density=d, mixed_volume=float(m), body=rec)
-            for d, m, rec in zip(density, mixed, bodies)]
+    # per body, its rows' norms in the order they are checked
+    norms = np.stack(bad, axis=1).reshape(len(bodies), -1).tolist()
+    out = [next((CompatibilityViolation(x) for x in row if x > 1e-9), None) for row in norms]
+    images = [None] * len(points)
+    keep = [i for b, err in enumerate(out) if err is None for i in range(b * J, b * J + J)]
+    if n == 1 and keep:
+        for i, im in zip(keep, gb.support_functions(grid, sg.synthesize(grid, c[keep]))):
+            images[i] = im
+    for b in range(len(bodies)):
+        if out[b] is None:
+            mine = range(b * J, b * J + J)
+            lost = [images[i] for i in mine if isinstance(images[i], ConvexityLost)]
+            out[b] = lost[0] if lost else [CurvatureImage(density=density[i],
+                                                          mixed_volume=float(mixed[i]),
+                                                          body=images[i]) for i in mine]
+    return out
 
 
 def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
@@ -261,7 +283,7 @@ def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckR
     vol = gb.volume(u)
     ep = _entropy_point(u, alpha, ep)
     return _stability_row(u, _digest(u, alpha=alpha), vol, alpha, ep,
-                          _curvature_images(u, vol, [alpha], [ep])[0])
+                          _one_body_images(u, vol, [alpha], [ep])[0])
 
 
 def _has_stability_bound(alpha: float) -> bool:
@@ -279,92 +301,60 @@ def _stability_row(u: SupportFunction, inputs: dict, vol: float, alpha: float,
                       1e-8)
 
 
-def check_soliton_properties(u: SupportFunction, alpha: float) -> list[CheckReport]:
-    """Structural checks on a converged self-similar state.
-
-    Requires soliton residual <= 1e-6 (NotASoliton otherwise). Reports:
-    volume matching the unit ball; the entropy point sitting at the
-    origin; the polar-dual volume at the origin dominating the ball's
-    (proved for alpha >= 1; "(reported)" below that); entropy about the
-    origin nonpositive at the exponents 1/(n+2) and alpha/(alpha+1)
-    (the latter always "(reported)", both when the exponent interval
-    [1/(n+2), alpha/(alpha+1)] is empty)."""
-    from .flow import soliton_residual  # deferred: flow imports this module
-
-    res = soliton_residual(u, alpha)
-    if res.residual > 1e-6:
-        raise NotASoliton(res.residual, 1e-6)
-    n = u.dim
-    tol = 1e-6
-    inputs = _digest(u, alpha=alpha, residual=f"{res.residual:.3e}")
-    target = sg.ball_volume(n)
-    origin = np.zeros(n + 1)
-    reports = [
-        _equality("soliton-volume-matches-unit-ball", inputs,
-                  gb.volume(u), target, tol * target),
-        _equality("soliton-entropy-point-at-origin", inputs,
-                  float(np.linalg.norm(ge.entropy_point(u, alpha).point)), 0.0, tol),
-    ]
-    dual_name = "soliton-dual-volume-above-ball"
-    if alpha < 1.0:
-        dual_name += " (reported)"
-    reports.append(_one_sided(dual_name, inputs, target, gb.dual_volume(u, origin),
-                              tol * target))
-    interval_ok = alpha >= 1.0 / (n + 1) - 1e-12
-    lower_name = "soliton-entropy-origin-nonpositive"
-    name = lower_name + f"-at-{1.0 / (n + 2):.6g}"
-    if not interval_ok:
-        name += " (reported)"
-    reports.append(_one_sided(name, inputs,
-                              ge.entropy_at(u, origin, 1.0 / (n + 2)), 0.0, tol))
-    if abs(alpha + 1.0) > 1e-9:
-        ap = alpha / (alpha + 1.0)
-        if abs(ap) > 1e-9:
-            reports.append(_one_sided(lower_name + f"-at-{ap:.6g} (reported)", inputs,
-                                      ge.entropy_at(u, origin, ap), 0.0, tol))
-    return reports
-
-
 def alpha_grid(dim: int) -> tuple[float, ...]:
     """Exponent grid used by the fuzz suite: -1, 1/(n+2), 1/n, 1/2, 1,
     2, 5 with duplicates removed (1/n equals 1 or 1/2 exactly)."""
     return tuple(dict.fromkeys((-1.0, 1.0 / (dim + 2), 1.0 / dim, 0.5, 1.0, 2.0, 5.0)))
 
 
-def body_checks(u: SupportFunction, alphas, radii=None) -> list[CheckReport]:
+def _imaged(n: int, alphas: tuple) -> list[int]:
+    """The places of the exponents whose curvature image `body_checks`
+    checks: n=1 only, alpha >= 1/3 or alpha < 0."""
+    return [i for i, a in enumerate(alphas) if n == 1 and _has_stability_bound(a)]
+
+
+def body_checks(u: SupportFunction, alphas, radii=None, eps=None, images=None) -> list[CheckReport]:
     """The per-body check list of both suites, made in one pass.
 
     Once per body: the dual-volume product, the width bounds and the
     affine isoperimetric inequality; per exponent: entropy
     nonnegativity, the curvature power mean bound (alpha >= 1/(n+2)
     only), and for n=1 the curvature-image entropy bound (alpha >= 1/3
-    or alpha < 0). The entropy points of all exponents are one stacked
-    solve (`entropy.entropy_points`), the Santalo check reuses
-    alpha = 1/(n+2) if alphas has it, and the n=1 image bodies come from
-    one stacked transform. The volume, the digest keys and the
-    normalization check are made once per body, and the rows of one
-    exponent share one inputs dict (which the checks writers then
-    render once).
+    or alpha < 0). The Santalo check reuses alpha = 1/(n+2) if alphas
+    has it. The volume, the digest keys and the normalization check are
+    made once per body, and the rows of one exponent share one inputs
+    dict (which the checks writers then render once).
 
-    radii is the body's entry of `body.width_radii_stack`, which a suite
-    solves for all its bodies at once: its WidthRadii, or the error of
-    its radius solve, raised here where the width rows stand. None
-    solves the radii of this one body (`body.width_radii`)."""
+    A suite solves its bodies' radii, entropy points and images as
+    stacks and passes each body's entry: radii from
+    `body.width_radii_stack`, eps (the points of all exponents) from
+    `entropy.entropy_points_stack`, images (those of the `_imaged`
+    exponents) from `_curvature_images`. An entry that is an error is
+    raised where the one-body solve would raise it: eps first, radii at
+    the width rows, images after the normalization check. None solves
+    for this one body (`entropy.entropy_points`, `body.width_radii`,
+    one stacked image transform)."""
     alphas = tuple(alphas)
-    eps = ge.entropy_points(u, alphas)
+    if eps is None:
+        eps = ge.entropy_points(u, alphas)
+    elif isinstance(eps, GaussFlowError):
+        raise eps
     n = u.dim
     keys, vol = _digest(u), gb.volume(u)
     santalo = next((ep for a, ep in zip(alphas, eps) if a == 1.0 / (n + 2)), None)
     reports = [_santalo_row(u, keys, vol, santalo)]
     if radii is None:
         radii = gb.width_radii(u)
-    elif isinstance(radii, Exception):
+    elif isinstance(radii, GaussFlowError):
         raise radii
     reports += [*_width_rows(n, keys, radii), _affine_row(u, keys, vol)]
     _require_normalized(u, vol)
-    imaged = [i for i, a in enumerate(alphas) if n == 1 and _has_stability_bound(a)]
-    images = dict(zip(imaged, _curvature_images(u, vol, [alphas[i] for i in imaged],
-                                                [eps[i] for i in imaged]))) if imaged else {}
+    imaged = _imaged(n, alphas)
+    if images is None and imaged:
+        images = _one_body_images(u, vol, [alphas[i] for i in imaged], [eps[i] for i in imaged])
+    elif isinstance(images, GaussFlowError):
+        raise images
+    images = dict(zip(imaged, images or ()))
     for i, (alpha, ep) in enumerate(zip(alphas, eps)):
         inputs = {**keys, "alpha": alpha}
         reports.append(_nonneg_row(inputs, ep))
@@ -375,8 +365,8 @@ def body_checks(u: SupportFunction, alphas, radii=None) -> list[CheckReport]:
     return reports
 
 
-# Bodies whose radii are one stack in `fuzz_suite`; bounds the bodies
-# held at once on a long seed list.
+# Seeds whose bodies, radii, entropy points and images are one stack each
+# in `fuzz_suite`; bounds the bodies held at once on a long seed list.
 _FUZZ_BLOCK = 64
 
 
@@ -384,31 +374,48 @@ def fuzz_suite(dim: int, seeds, alphas=None, bandlimit: int | None = None,
                amplitude: float = 0.1) -> list[CheckReport]:
     """body_checks over seeded random bodies and an exponent grid (by
     default alpha_grid(dim)); returns one flat list of reports, in seed
-    order. The radii of all bodies are one cold stacked solve
-    (`body.width_radii_stack`). A seed whose body or checks raise a
+    order. Each block of seeds is checked as one stack per layer: its
+    random bodies are one stacked build per round of draws
+    (`body.random_bodies`), their radii one exchange
+    (`body.width_radii_stack`), the entropy points of every (body,
+    exponent) row one Newton iteration (`entropy.entropy_points_stack`)
+    and, at n=1, every image body one build (`_curvature_images`). A
+    row's bits never depend on the other rows, so a seed's rows are those
+    of a run of that seed alone. A seed whose body or checks raise a
     GaussFlowError gives, in place of its rows, one "check-error" row
-    naming the seed and the first error."""
+    naming the seed and the first error, the one its run alone gives."""
     if alphas is None:
         alphas = alpha_grid(dim)
+    alphas = tuple(alphas)
     if bandlimit is None:
         bandlimit = 16 if dim == 1 else 8
     seeds = list(seeds)
     reports = []
     for b in range(0, len(seeds), _FUZZ_BLOCK):
-        block = []
-        for seed in seeds[b:b + _FUZZ_BLOCK]:
-            try:
-                block.append((seed, gb.random_body(seed, dim, bandlimit, amplitude)))
-            except GaussFlowError as e:
-                block.append((seed, e))
-        built = [u for _, u in block if isinstance(u, SupportFunction)]
-        radii = iter(gb.width_radii_stack(built))
-        for seed, u in block:
+        block = seeds[b:b + _FUZZ_BLOCK]
+        made = gb.random_bodies(block, dim, bandlimit, amplitude)
+        built = [u for u in made if isinstance(u, SupportFunction)]
+        radii = gb.width_radii_stack(built)
+        eps = ge.entropy_points_stack(built, alphas)
+        images = [None] * len(built)
+        imaged = _imaged(dim, alphas)
+        # images only for the bodies whose checks get that far
+        ready = [i for i, (r, e) in enumerate(zip(radii, eps))
+                 if not isinstance(r, GaussFlowError) and not isinstance(e, GaussFlowError)]
+        if imaged and ready:
+            solved = _curvature_images([built[i] for i in ready],
+                                       [gb.volume(built[i]) for i in ready],
+                                       [alphas[j] for j in imaged],
+                                       [[eps[i][j] for j in imaged] for i in ready])
+            for i, im in zip(ready, solved):
+                images[i] = im
+        checked = iter(zip(radii, eps, images))
+        for seed, u in zip(block, made):
             if isinstance(u, GaussFlowError):
                 reports.append(_error_row(seed, u))
                 continue
             try:
-                reports.extend(body_checks(u, alphas, next(radii)))
+                reports.extend(body_checks(u, alphas, *next(checked)))
             except GaussFlowError as e:
                 reports.append(_error_row(seed, e))
     return reports

@@ -70,7 +70,7 @@ __all__ = [
     "project_frame",
     "ProjectedFrame",
     "warn_if_marginal",
-    "spectral_tail",
+    "row_power",
     "evaluate_at",
     "sphere_area",
     "ball_volume",
@@ -290,24 +290,30 @@ def _pole_legendre(L: int) -> NDArray:
 
 
 def _sphere_analysis(grid: SphereGrid, values: NDArray) -> NDArray:
-    """Harmonic coefficients of sphere node values as per-order pairs,
-    shape (L+1, L+1, 2) indexed [m, l]: a Fourier transform along each
-    ring, then one Legendre quadrature matmul per order."""
+    """Harmonic coefficients of sphere node values (..., nodes) as per-order
+    pairs, shape (..., L+1, L+1, 2) indexed [m, l]: a Fourier transform
+    along each ring, then one Legendre quadrature matmul per order. A
+    stack of fields is one matmul per field and stage, so each field gets
+    the bits of its own transform."""
     L = grid.bandlimit
-    ring_sums = values.reshape(L + 1, 2 * L + 2) @ grid._ring_dft   # [ring, (m, pair)]
-    return grid._ring_analysis @ ring_sums.reshape(L + 1, L + 1, 2).swapaxes(0, 1)
+    lead = values.shape[:-1]
+    ring_sums = values.reshape(lead + (L + 1, 2 * L + 2)) @ grid._ring_dft  # [ring, (m, pair)]
+    return grid._ring_analysis @ ring_sums.reshape(lead + (L + 1, L + 1, 2)).swapaxes(-3, -2)
 
 
 def _sphere_synthesis(grid: SphereGrid, pairs: NDArray, derivatives) -> NDArray:
-    """Node values of derivatives of the field with these per-order pairs,
-    one row per colatitude order t and longitude order p in
-    `derivatives` = (t, p): one Legendre matmul per order, then a Fourier
-    synthesis along each ring."""
+    """Node values (..., len(t), nodes) of derivatives of the fields with
+    these per-order pairs (..., L+1, L+1, 2), one row per colatitude order
+    t and longitude order p in `derivatives` = (t, p): one Legendre matmul
+    per order, then a Fourier synthesis along each ring."""
     L = grid.bandlimit
     t, p = derivatives
-    per_order = grid._ring_synthesis[: t.max() + 1] @ pairs         # [t, m, ring, pair]
-    per_ring = per_order.swapaxes(1, 2)[t].reshape(len(t), L + 1, 2 * L + 2)
-    return (per_ring @ grid._ring_idft[p]).reshape(len(t), grid.node_count)
+    lead = pairs.shape[:-3]
+    per_order = grid._ring_synthesis[: t.max() + 1] @ pairs[..., None, :, :, :]  # [t, m, ring, pair]
+    # np.take writes [t, ring, m, pair] in C order, so the reshape is free
+    per_ring = np.take(per_order.swapaxes(-3, -2), t, axis=-4)
+    per_ring = per_ring.reshape(lead + (len(t), L + 1, 2 * L + 2))
+    return (per_ring @ grid._ring_idft[p]).reshape(lead + (len(t), grid.node_count))
 
 
 def _tail_fraction(spectrum: NDArray, bandlimit: int) -> float:
@@ -341,6 +347,25 @@ def _check_values(grid: SphereGrid, values: NDArray, stack: bool = False) -> NDA
             f"values shape {values.shape} does not match grid with {grid.node_count} nodes"
         )
     return values
+
+
+# numpy takes x ** e as 1/x, sqrt(x) or x*x when e is one of these and a
+# scalar or a one-element array, and as pow (which can differ in the last
+# bit) when e is a column of several rows
+_FAST_POWERS = ((-1.0, np.reciprocal), (0.5, np.sqrt), (2.0, np.square))
+
+
+def row_power(x: NDArray, e: NDArray) -> NDArray:
+    """x ** e for a (k, nodes) stack x and a (k, 1) column e of exponents,
+    row i with the bits of x[i] ** e[i, 0] alone, whatever k is."""
+    out = x ** e
+    if len(e) == 1:
+        return out
+    for value, fast in _FAST_POWERS:
+        rows = e[:, 0] == value
+        if rows.any():
+            out[rows] = fast(x[rows])
+    return out
 
 
 def integrate(grid: SphereGrid, values: NDArray) -> float:
@@ -402,19 +427,6 @@ def project(grid: SphereGrid, values: NDArray) -> NDArray:
     return np.fft.irfft(c, n=grid.node_count)
 
 
-def spectral_tail(grid: SphereGrid, values: NDArray) -> float:
-    """Fraction of spectral energy in the top 10% of retained modes.
-
-    Values near 1e-8 or larger indicate the field is not resolved well
-    enough for curvature work at this bandlimit.
-    """
-    values = _check_values(grid, values)
-    if grid.dim == 1:
-        return _tail_fraction(np.fft.rfft(values).view(np.float64).reshape(-1, 2),
-                              grid.bandlimit)
-    return _tail_fraction(_sphere_analysis(grid, values).swapaxes(0, 1), grid.bandlimit)
-
-
 class FrameDerivatives(NamedTuple):
     """Covariant Hessian, gradient and spectrum of a field (`frame_hessian`);
     `frame_of` packs the first two with the values into the field's frame.
@@ -451,53 +463,60 @@ def warn_if_marginal(grid: SphereGrid, spectrum: NDArray) -> None:
 
 
 def _sphere_frame(grid: SphereGrid, u, u_t, u_p, u_tt, u_tp, u_pp) -> NDArray:
-    """The frame of a sphere field from its synthesized values and
-    derivative rows; with u = 0 its tensor rows hold the frame Hessian
-    (`frame_hessian`)."""
+    """The frame (or the stack of frames) of sphere fields from their
+    synthesized values and derivative rows; with u = 0 its tensor rows
+    hold the frame Hessian (`frame_hessian`)."""
     inv_st, cot = grid._inv_sin, grid._cot
-    frame = np.empty((6, grid.node_count))
-    frame[0] = u
-    frame[1] = u_tt + u
-    frame[2] = (u_tp - cot * u_p) * inv_st
-    frame[3] = u_pp * inv_st * inv_st + cot * u_t + u
-    frame[4] = u_t
-    frame[5] = u_p * inv_st
+    frame = np.empty(u_t.shape[:-1] + (6, grid.node_count))
+    rows = frame.swapaxes(0, -2)  # rows[r]: row r of each frame
+    rows[0] = u
+    rows[1] = u_tt + u
+    rows[2] = (u_tp - cot * u_p) * inv_st
+    rows[3] = u_pp * inv_st * inv_st + cot * u_t + u
+    rows[4] = u_t
+    rows[5] = u_p * inv_st
     return frame
 
 
 def frame_of(values: NDArray, hessian: NDArray, gradient: NDArray) -> NDArray:
     """The frame (module docstring) of a field from its node values and
-    its frame Hessian and gradient (as `frame_hessian` returns them)."""
-    n = gradient.shape[1]
-    frame = np.empty((3 * n, values.size))
-    frame[0] = values
-    frame[1] = hessian[:, 0, 0] + values
+    its frame Hessian and gradient (as `frame_hessian` returns them); of
+    a stack of fields, the (k, 3n, nodes) stack of their frames."""
+    n = gradient.shape[-1]
+    frame = np.empty(values.shape[:-1] + (3 * n, values.shape[-1]))
+    rows = frame.swapaxes(0, -2)  # rows[r]: row r of each frame
+    rows[0] = values
+    rows[1] = hessian[..., 0, 0] + values
     if n == 2:
-        frame[2] = hessian[:, 0, 1]
-        frame[3] = hessian[:, 1, 1] + values
-    frame[-n:] = gradient.T
+        rows[2] = hessian[..., 0, 1]
+        rows[3] = hessian[..., 1, 1] + values
+    frame[..., -n:, :] = gradient.swapaxes(-1, -2)
     return frame
 
 
 def tensor_rows(frame: NDArray) -> NDArray:
     """The rows of a frame that hold the entries of A: A on the circle,
-    A11, A12, A22 on the sphere."""
-    return frame[1: 2 * (len(frame) // 3)]
+    A11, A12, A22 on the sphere; of a stack of frames, entry r of every
+    frame is row r of the result."""
+    return frame.swapaxes(0, -2)[1: 2 * (frame.shape[-2] // 3)]
 
 
 def frame_tensor(frame: NDArray) -> NDArray:
-    """A = hess u + u I of a C-contiguous frame as a read-only (nodes, n, n)
-    view: entry (i, j) is row 1 + i + j, so A12 and A21 share a row."""
-    row, item = frame.strides
-    n = len(frame) // 3
-    A = np.ndarray((frame.shape[1], n, n), frame.dtype, frame[1:], 0, (item, row, row))
+    """A = hess u + u I of a C-contiguous frame, or stack of frames, as a
+    read-only (..., nodes, n, n) view: entry (i, j) is row 1 + i + j, so
+    A12 and A21 share a row."""
+    row, item = frame.strides[-2:]
+    n = frame.shape[-2] // 3
+    A = np.ndarray(frame.shape[:-2] + (frame.shape[-1], n, n), frame.dtype, frame, row,
+                   frame.strides[:-2] + (item, row, row))
     A.flags.writeable = False
     return A
 
 
 def frame_gradient(frame: NDArray) -> NDArray:
-    """The gradient of a frame as a (nodes, n) view."""
-    return frame[-(len(frame) // 3):].T
+    """The gradient of a frame (or of each frame of a stack) as a
+    (..., nodes, n) view."""
+    return frame[..., -(frame.shape[-2] // 3):, :].swapaxes(-1, -2)
 
 
 def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
@@ -506,8 +525,9 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     Parameters
     ----------
     grid : SphereGrid
-    values : ndarray, shape (node_count,)
-        Samples of a function resolved below the bandlimit.
+    values : ndarray, shape (node_count,) or (k, node_count)
+        Samples of a function resolved below the bandlimit, or a stack of
+        k such fields on the grid.
 
     Returns
     -------
@@ -521,24 +541,33 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
         (u_t, u_p/sin(t)) on the sphere; u' on the circle.
     spectrum : ndarray
         See FrameDerivatives.
+    A stack gives each of the three with a leading axis of k rows. The
+    stack is one transform whose row i has the bits of the one-row call
+    on values[i]: its FFTs and matmuls are taken row by row, never as one
+    product over the whole stack, whose rounding would depend on k.
 
     Warns with a fixed RuntimeWarning when the spectral tail exceeds
-    1e-8 of the energy (marginally resolved input).
+    1e-8 of the energy (marginally resolved input), once for each such
+    row of a stack.
     """
-    values = _check_values(grid, values)
+    values = _check_values(grid, values, stack=True)
     M = grid.node_count
     if grid.dim == 1:
         ch = np.fft.rfft(values)
-        spectrum = ch.view(np.float64).reshape(-1, 2)
-        warn_if_marginal(grid, spectrum)
-        k = np.arange(ch.size)
-        der = np.fft.irfft(np.vstack([1j * k * ch, -(k * k) * ch]), n=M, axis=-1)
-        return FrameDerivatives(der[1].reshape(M, 1, 1), der[0].reshape(M, 1), spectrum)
-    pairs = _sphere_analysis(grid, values)
-    spectrum = pairs.swapaxes(0, 1)
-    warn_if_marginal(grid, spectrum)
-    frame = _sphere_frame(grid, 0.0, *_sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES))
-    return FrameDerivatives(frame_tensor(frame), frame_gradient(frame), spectrum)
+        spectrum = ch.view(np.float64).reshape(ch.shape + (2,))
+        k = np.arange(ch.shape[-1])
+        der = np.fft.irfft(np.stack([1j * k * ch, -(k * k) * ch], axis=-2), n=M)
+        hessian = der[..., 1, :].reshape(values.shape + (1, 1))
+        gradient = der[..., 0, :].reshape(values.shape + (1,))
+    else:
+        pairs = _sphere_analysis(grid, values)
+        spectrum = pairs.swapaxes(-3, -2)
+        derivatives = _sphere_synthesis(grid, pairs, _FRAME_DERIVATIVES)
+        frame = _sphere_frame(grid, 0.0, *derivatives.swapaxes(0, -2))
+        hessian, gradient = frame_tensor(frame), frame_gradient(frame)
+    for row in (spectrum if values.ndim == 2 else (spectrum,)):
+        warn_if_marginal(grid, row)
+    return FrameDerivatives(hessian, gradient, spectrum)
 
 
 def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:

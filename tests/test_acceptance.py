@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from test_entropy import concavity_probe
 
 import gaussflow.body as gb
 import gaussflow.entropy as ge
@@ -194,7 +195,7 @@ def test_criterion_08_entropy_point_solver(fuzz_bodies):
                     g1, g2 = rng.standard_normal((2, dim + 1))
                     z1 = 0.25 * g1 / (1.0 + np.linalg.norm(g1))
                     z2 = 0.25 * g2 / (1.0 + np.linalg.norm(g2))
-                    assert ge.concavity_probe(u, alpha, z1, z2)
+                    assert concavity_probe(u, alpha, z1, z2)
                     pairs += 1
     ok = worst_grad <= 1e-10 and worst_eq <= 1e-10 and pairs >= 1000
     line = _verdict(8, "entropy-point-solver", ok,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,7 @@ from gaussflow import sphere_grid as sg
 from gaussflow.cli import main
 from gaussflow.errors import (
     ConvexityLost,
-    GridMismatch,
+    GaussFlowError,
     NotInterior,
     RadiiNonConvergence,
     RandomBodyFailure,
@@ -426,18 +428,35 @@ def test_boundary_points_ellipse_oracle():
     assert_allclose(X, np.column_stack([a * np.cos(t), b * np.sin(t)]), atol=1e-8)
 
 
+class GridMismatch(GaussFlowError):
+    """Two support functions do not share a grid/basepoint frame."""
+
+
+def hausdorff_distance(u1, u2) -> float:
+    """Max absolute support difference; requires a common grid and basepoint.
+
+    Grids are compared by (dim, bandlimit), which fixes their nodes, so a
+    grid built directly or evicted from the `build_grid` cache still matches.
+    """
+    if (u1.grid.dim, u1.grid.bandlimit) != (u2.grid.dim, u2.grid.bandlimit):
+        raise GridMismatch("support functions live on different grids")
+    if not np.allclose(u1.basepoint, u2.basepoint, atol=1e-12):
+        raise GridMismatch("support functions use different basepoints")
+    return float(np.abs(u1.values - u2.values).max())
+
+
 def test_hausdorff_distance():
     grid = sg.build_grid(1, 8)
     u1, u2 = gb.ball(grid), gb.ball(grid, 1.1)
-    assert gb.hausdorff_distance(u1, u1) == 0.0
-    assert_allclose(gb.hausdorff_distance(u1, u2), 0.1, atol=1e-14)
+    assert hausdorff_distance(u1, u1) == 0.0
+    assert_allclose(hausdorff_distance(u1, u2), 0.1, atol=1e-14)
     z = 0.5 * grid.nodes[3]  # node-aligned so the sup is attained on the grid
-    assert_allclose(gb.hausdorff_distance(u1, gb.ball(grid, 1.0, center=z)),
+    assert_allclose(hausdorff_distance(u1, gb.ball(grid, 1.0, center=z)),
                     0.5, atol=1e-12)
     with pytest.raises(GridMismatch):
-        gb.hausdorff_distance(u1, gb.ball(sg.build_grid(1, 16)))
+        hausdorff_distance(u1, gb.ball(sg.build_grid(1, 16)))
     with pytest.raises(GridMismatch):
-        gb.hausdorff_distance(u1, gb.support_about(u2, np.array([0.2, 0.0])))
+        hausdorff_distance(u1, gb.support_about(u2, np.array([0.2, 0.0])))
 
 
 def test_hausdorff_distance_matches_equal_grids():
@@ -446,9 +465,9 @@ def test_hausdorff_distance_matches_equal_grids():
     # cache eviction)
     direct = sg.SphereGrid(1, 16)
     assert direct is not sg.build_grid(1, 16)
-    assert gb.hausdorff_distance(gb.ball(direct), gb.ball(sg.build_grid(1, 16))) == 0.0
+    assert hausdorff_distance(gb.ball(direct), gb.ball(sg.build_grid(1, 16))) == 0.0
     with pytest.raises(GridMismatch):
-        gb.hausdorff_distance(gb.ball(direct), gb.ball(sg.SphereGrid(2, 16)))
+        hausdorff_distance(gb.ball(direct), gb.ball(sg.SphereGrid(2, 16)))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -461,6 +480,116 @@ def test_random_body_contract(dim):
         assert gb.curvature_data(u).lam_min.min() >= 0.04
     sym = gb.random_body(7, dim, 8, 0.3, centrally_symmetric=True)
     assert np.abs(sym.values - sym.values[sym.grid.antipode]).max() < 1e-14
+
+
+def assert_same_build(got, want):
+    """Two builds of one field agree bit for bit in every curvature array."""
+    assert np.array_equal(got.values, want.values)
+    g, w = gb.curvature_data(got), gb.curvature_data(want)
+    for name in ("frame", "f", "K", "lam_min", "spectrum"):
+        assert np.array_equal(getattr(g, name), getattr(w, name)), name
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
+def test_stacked_build_is_the_one_row_build_on_fuzz_bodies(dim, L, symmetric):
+    grid = sg.build_grid(dim, L)
+    values = [gb.random_body(seed, dim, L, 0.1, centrally_symmetric=symmetric).values
+              for seed in range(10)]
+    built = gb.support_functions(grid, values)
+    assert len(built) == len(values)
+    for v, u in zip(values, built):
+        assert_same_build(u, gb.SupportFunction(grid, v))
+        assert not u.values.flags.writeable
+        assert (u.basepoint == 0.0).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gb.ball(sg.build_grid(1, 16)),
+    lambda: gb.ball(sg.build_grid(2, 8)),
+    ellipse_fine,
+], ids=["ball-n1", "ball-n2", "ellipse"])
+def test_stacked_build_is_the_one_row_build_on_sharp_bodies(make):
+    # alone, and among fuzz bodies
+    u = make()
+    others = [gb.random_body(seed, u.dim, u.grid.bandlimit, 0.1).values for seed in range(3)]
+    assert_same_build(gb.support_functions(u.grid, [u.values])[0], u)
+    assert_same_build(gb.support_functions(u.grid, [*others, u.values])[-1], u)
+
+
+def test_a_nonconvex_row_is_its_own_convexity_lost():
+    # the 2:1:0.5 ellipsoid is not resolved at L = 8: only its row of the
+    # stack fails, with the node and lambda_min of its one-row build
+    grid = sg.build_grid(2, 8)
+    ellipsoid = np.sqrt(((grid.nodes * [2.0, 1.0, 0.5]) ** 2).sum(axis=1))
+    fuzz = [gb.random_body(seed, 2, 8, 0.1).values for seed in range(4)]
+    with pytest.warns(RuntimeWarning), pytest.raises(ConvexityLost) as alone:
+        gb.SupportFunction(grid, ellipsoid)
+    assert alone.value.node == 90
+    assert alone.value.lam_min == pytest.approx(-6.682e-02, abs=1e-5)
+    with pytest.warns(RuntimeWarning):
+        built = gb.support_functions(grid, [*fuzz[:2], ellipsoid, *fuzz[2:]])
+    lost = built[2]
+    assert isinstance(lost, ConvexityLost)
+    assert (lost.node, lost.lam_min, str(lost)) == (alone.value.node, alone.value.lam_min,
+                                                    str(alone.value))
+    for v, u in zip(fuzz, built[:2] + built[3:]):
+        assert_same_build(u, gb.SupportFunction(grid, v))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_marginal_row_of_a_stack_warns(dim):
+    grid = sg.build_grid(dim, 8)
+    smooth = [gb.random_body(seed, dim, 8, 0.1).values for seed in range(3)]
+    e = np.zeros(grid.coeff_count)
+    e[np.argmax(grid.degrees)] = 1e-3
+    rough = smooth[0] + sg.synthesize(grid, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gb.support_functions(grid, smooth)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = gb.support_functions(grid, [rough, smooth[1], rough])
+        assert [str(w.message) for w in caught] == [sg._TAIL_MESSAGE] * 2
+        assert_same_build(built[0], gb.SupportFunction(grid, rough))
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8)])
+def test_random_bodies_are_the_one_seed_bodies(dim, L, monkeypatch):
+    # amplitude 0.9 rejects some seeds' first draws, so the seeds leave
+    # the stack in different rounds
+    rounds = []
+    real = gb.support_functions
+
+    def counted(grid, values):
+        rounds.append(len(values))
+        return real(grid, values)
+
+    monkeypatch.setattr(gb, "support_functions", counted)
+    seeds = [3, 11, 4, 20, 7, 0]
+    made = gb.random_bodies(seeds, dim, L, 0.9)
+    assert len(rounds) > 1 and rounds[0] == len(seeds)
+    for seed, u in zip(seeds, made):
+        assert_same_build(u, gb.random_body(seed, dim, L, 0.9))
+
+
+def test_random_bodies_give_up_seed_by_seed(monkeypatch):
+    # every draw of the first seed is rejected: it fails alone, with the
+    # one-seed error, and the next seed keeps its body
+    want = gb.random_body(6, 1, 8, 0.3)
+    real = gb.support_functions
+
+    def reject_first_row(grid, values):
+        built = real(grid, values)
+        return [ConvexityLost(0, -1.0), *built[1:]]
+
+    monkeypatch.setattr(gb, "support_functions", reject_first_row)
+    failed, kept = gb.random_bodies([5, 6], 1, 8, 0.3)
+    assert isinstance(failed, RandomBodyFailure)
+    assert str(failed) == "no uniformly convex draw after 50 rejections (seed 5)"
+    assert_same_build(kept, want)
+    with pytest.raises(RandomBodyFailure, match=r"\(seed 5\)"):
+        gb.random_body(5, 1, 8, 0.3)
 
 
 def test_random_body_determinism():

@@ -17,12 +17,13 @@ from numpy.testing import assert_allclose
 
 from gaussflow import body as gb
 from gaussflow import cli
+from gaussflow import entropy as ge
 from gaussflow import fileio
 from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import RunConfig, build_parser, config_digest, main, resolve
-from gaussflow.errors import RadiiNonConvergence, StepFailure
+from gaussflow.errors import NonConvergence, RadiiNonConvergence, StepFailure
 
 
 def read_traj(path):
@@ -309,6 +310,37 @@ class TestVerify:
                                  for d in ("plain", "capped"))
         assert capped_csv[-kept_rows:] == plain_csv[-kept_rows:]
         assert len(plain) == 2 * kept_rows
+
+    def test_an_unconverged_seed_leaves_the_other_seeds_rows(self, tmp_path, monkeypatch):
+        # the middle seed's entropy rows never step, so its solve fails in
+        # the job-wide Newton stack; only its rows become a check-error row
+        seeds = [3, 5, 8]
+        args = ["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit", "16",
+                "--seeds", ",".join(map(str, seeds))]
+        assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+        failing = gb.random_body(seeds[1], 1, 16, 0.1)
+        real = ge._newton_steps
+
+        def stuck(ex, at):
+            dz = real(ex, at)
+            dz[(ex.values == failing.values).all(axis=1)] = 0.0
+            return dz
+
+        monkeypatch.setattr(ge, "_newton_steps", stuck)
+        with pytest.raises(NonConvergence) as alone:
+            ge.entropy_points(failing, gi.alpha_grid(1))
+        assert main(args + ["--out-dir", str(tmp_path / "stuck")]) == 2
+        plain, stuck_doc = (json.loads((tmp_path / d / "checks.json").read_text())["reports"]
+                            for d in ("plain", "stuck"))
+        rows = len(plain) // 3
+        assert stuck_doc[rows]["name"] == "check-error"
+        assert stuck_doc[rows]["inputs"] == {"error": str(alone.value), "seed": seeds[1]}
+        assert [r["name"] for r in stuck_doc].count("check-error") == 1
+        assert stuck_doc[:rows] + stuck_doc[rows + 1:] == plain[:rows] + plain[2 * rows:]
+        plain_csv, stuck_csv = ((tmp_path / d / "checks.csv").read_text().splitlines()
+                                for d in ("plain", "stuck"))
+        assert stuck_csv[2:2 + rows] == plain_csv[2:2 + rows]
+        assert stuck_csv[-rows:] == plain_csv[-rows:]
 
     @pytest.mark.parametrize("sub", ["verify", "sweep"])
     @pytest.mark.parametrize("seeds", [["--seeds="], ["--seed-count=0"],

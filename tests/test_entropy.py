@@ -10,6 +10,17 @@ from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.errors import AlphaZero, NonConvergence, NotInterior
 
+
+def concavity_probe(u, alpha, z1, z2) -> bool:
+    """Midpoint concavity test of z -> E_alpha(u, z); all three points must
+    be interior."""
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    e_mid = ge.entropy_at(u, 0.5 * (z1 + z2), alpha)
+    e1 = ge.entropy_at(u, z1, alpha)
+    e2 = ge.entropy_at(u, z2, alpha)
+    return bool(e_mid >= 0.5 * (e1 + e2) - 1e-12)
+
 ALPHAS = [-1.0, 0.25, 0.5, 1.0, 2.0, 5.0]
 
 
@@ -155,12 +166,12 @@ def test_zalpha_alpha_one_branch_continuous():
 def test_concavity_probe():
     u = gb.random_body(16, 1, 8, 0.3)
     z = np.array([0.02, 0.01])
-    assert ge.concavity_probe(u, 1.0, z, z)
+    assert concavity_probe(u, 1.0, z, z)
     rng = np.random.default_rng(5)
     for alpha in (0.5, 1.0, 2.0):
         for _ in range(25):
             z1, z2 = 0.2 * rng.standard_normal((2, 2))
-            assert ge.concavity_probe(u, alpha, z1, z2)
+            assert concavity_probe(u, alpha, z1, z2)
 
 
 def test_entropy_decreases_away_from_entropy_point_along_lines():
@@ -237,6 +248,91 @@ class TestStackedSolve:
 
 
 
+def same_result(a, b) -> bool:
+    """Two entropy solves agree bit for bit."""
+    return (np.array_equal(a.point, b.point) and a.value == b.value
+            and a.gradient_norm == b.gradient_norm and a.iterations == b.iterations)
+
+
+class TestRowsAreTheirOwnSolves:
+    """A row's bits do not depend on the rows that share its stack: each
+    row of a grid or job-wide solve is its one-exponent, one-body solve.
+    The exponents -2 and -0.5 give the rows p - 1 = 0.5 and 2, which
+    numpy's power takes as sqrt and square for one row only."""
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 32)])
+    def test_grid_rows_are_the_one_exponent_bits(self, dim, L):
+        alphas = gi.alpha_grid(dim) + (-2.0, -0.5)
+        for seed in range(8 if L < 32 else 3):
+            u = gb.random_body(seed, dim, L, 0.1)
+            for alpha, row in zip(alphas, ge.entropy_points(u, alphas)):
+                assert same_result(row, ge.entropy_point(u, alpha)), (seed, alpha)
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_job_rows_are_the_one_body_bits(self, dim, L):
+        bodies = [gb.random_body(seed, dim, L, 0.1) for seed in range(12)]
+        alphas = gi.alpha_grid(dim)
+        for u, rows in zip(bodies, ge.entropy_points_stack(bodies, alphas)):
+            for row, one in zip(rows, ge.entropy_points(u, alphas), strict=True):
+                assert same_result(row, one)
+
+    def test_empty_stacks(self):
+        u = gb.random_body(1, 1, 16, 0.1)
+        assert ge.entropy_points_stack([], (1.0,)) == []
+        assert ge.entropy_points_stack([u, u], ()) == [[], []]
+
+    def test_alpha_zero_is_every_bodys_error(self):
+        bodies = [gb.random_body(seed, 1, 16, 0.1) for seed in range(2)]
+        out = ge.entropy_points_stack(bodies, (1.0, 0.0))
+        assert [type(e) for e in out] == [AlphaZero, AlphaZero]
+
+    def test_an_exterior_start_fails_its_body_only(self, monkeypatch):
+        bodies = [gb.random_body(seed, 2, 8, 0.1) for seed in range(3)]
+        alphas = gi.alpha_grid(2)
+        clean = ge.entropy_points_stack(bodies, alphas)
+        steiner = ge.steiner_point
+
+        def outside_for_body_1(u):
+            return np.array([5.0, 0.0, 0.0]) if u is bodies[1] else steiner(u)
+
+        monkeypatch.setattr(ge, "steiner_point", outside_for_body_1)
+        with pytest.raises(NotInterior) as alone:
+            ge.entropy_points(bodies[1], alphas)
+        out = ge.entropy_points_stack(bodies, alphas)
+        assert isinstance(out[1], NotInterior) and str(out[1]) == str(alone.value)
+        for b in (0, 2):
+            assert all(map(same_result, out[b], clean[b]))
+
+    def test_an_unconverged_body_keeps_its_first_error(self, monkeypatch):
+        # body 1's rows never step: each stops unconverged after MAX_ITER
+        # iterations, and the body gets the error of its first exponent
+        bodies = [gb.random_body(seed, 1, 16, 0.1) for seed in range(3)]
+        alphas = gi.alpha_grid(1)
+        clean = ge.entropy_points_stack(bodies, alphas)
+        real = ge._newton_steps
+
+        def stuck_body_1(ex, at):
+            dz = real(ex, at)
+            dz[(ex.values == bodies[1].values).all(axis=1)] = 0.0
+            return dz
+
+        monkeypatch.setattr(ge, "_newton_steps", stuck_body_1)
+        with pytest.raises(NonConvergence) as alone:
+            ge.entropy_points(bodies[1], alphas)
+        first = None
+        for alpha in alphas:
+            try:
+                ge.entropy_point(bodies[1], alpha)
+            except NonConvergence as e:
+                first = first or e
+        out = ge.entropy_points_stack(bodies, alphas)
+        assert isinstance(out[1], NonConvergence)
+        assert str(out[1]) == str(alone.value) == str(first)
+        assert out[1].iterations == ge.MAX_ITER
+        for b in (0, 2):
+            assert all(map(same_result, out[b], clean[b]))
+
+
 class TestSingularStep:
     """A row whose Newton matrix is singular takes the gradient step with
     no numpy warning; the other rows keep their solved step."""
@@ -244,11 +340,8 @@ class TestSingularStep:
     @staticmethod
     def start(u, alphas):
         """The stacked solve's rows and iterates at the Steiner point."""
-        a = np.array(alphas)
-        p = 1.0 - 1.0 / a
-        ex = ge._Exponents(np.arange(len(a)), a[:, None, None], p, (p - 1.0)[:, None],
-                           (a < 0.0)[:, None, None], np.where(a < 0.0, p - 1.0, -1.0)[:, None])
-        z = ge.steiner_point(u)[None].repeat(len(a), axis=0)
+        ex = ge._rows(u.values[None], tuple(alphas))
+        z = ge.steiner_point(u)[None].repeat(len(alphas), axis=0)
         uz = u.values - z @ u.grid.nodes.T
         return ex, ge._Iterates(z, uz, uz.min(axis=1), *ge._moments(u.grid, uz, ex.pm1))
 

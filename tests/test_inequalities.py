@@ -22,10 +22,63 @@ from gaussflow import flow as gf
 from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import main
-from gaussflow.errors import (CompatibilityViolation, ConvexityLost, NotASoliton,
+from gaussflow.errors import (CompatibilityViolation, ConvexityLost, GaussFlowError,
                               RandomBodyFailure, UnsupportedDimension)
 
 BALL_L = {1: 16, 2: 8}
+
+
+class NotASoliton(GaussFlowError):
+    """Input body fails the self-similarity residual precondition."""
+
+    def __init__(self, residual: float, threshold: float):
+        self.residual = float(residual)
+        self.threshold = float(threshold)
+        super().__init__(f"soliton residual {residual:.3e} exceeds {threshold:.3e}")
+
+
+def check_soliton_properties(u, alpha: float) -> list:
+    """Structural checks on a converged self-similar state.
+
+    Requires soliton residual <= 1e-6 (NotASoliton otherwise). Reports:
+    volume matching the unit ball; the entropy point sitting at the
+    origin; the polar-dual volume at the origin dominating the ball's
+    (proved for alpha >= 1; "(reported)" below that); entropy about the
+    origin nonpositive at the exponents 1/(n+2) and alpha/(alpha+1)
+    (the latter always "(reported)", both when the exponent interval
+    [1/(n+2), alpha/(alpha+1)] is empty)."""
+    res = gf.soliton_residual(u, alpha)
+    if res.residual > 1e-6:
+        raise NotASoliton(res.residual, 1e-6)
+    n = u.dim
+    tol = 1e-6
+    inputs = gi._digest(u, alpha=alpha, residual=f"{res.residual:.3e}")
+    target = sg.ball_volume(n)
+    origin = np.zeros(n + 1)
+    reports = [
+        gi._equality("soliton-volume-matches-unit-ball", inputs,
+                     gb.volume(u), target, tol * target),
+        gi._equality("soliton-entropy-point-at-origin", inputs,
+                     float(np.linalg.norm(ge.entropy_point(u, alpha).point)), 0.0, tol),
+    ]
+    dual_name = "soliton-dual-volume-above-ball"
+    if alpha < 1.0:
+        dual_name += " (reported)"
+    reports.append(gi._one_sided(dual_name, inputs, target, gb.dual_volume(u, origin),
+                                 tol * target))
+    interval_ok = alpha >= 1.0 / (n + 1) - 1e-12
+    lower_name = "soliton-entropy-origin-nonpositive"
+    name = lower_name + f"-at-{1.0 / (n + 2):.6g}"
+    if not interval_ok:
+        name += " (reported)"
+    reports.append(gi._one_sided(name, inputs,
+                                 ge.entropy_at(u, origin, 1.0 / (n + 2)), 0.0, tol))
+    if abs(alpha + 1.0) > 1e-9:
+        ap = alpha / (alpha + 1.0)
+        if abs(ap) > 1e-9:
+            reports.append(gi._one_sided(lower_name + f"-at-{ap:.6g} (reported)", inputs,
+                                         ge.entropy_at(u, origin, ap), 0.0, tol))
+    return reports
 
 
 def ball(dim, radius=1.0):
@@ -113,7 +166,7 @@ class TestBallEqualities:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_soliton_properties(self, dim):
-        reports = gi.check_soliton_properties(ball(dim), 2.0)
+        reports = check_soliton_properties(ball(dim), 2.0)
         assert all(r.passed for r in reports)
         assert max(abs(r.slack) for r in reports) <= 1e-9
         names = [r.name for r in reports]
@@ -125,7 +178,7 @@ class TestBallEqualities:
     def test_scaled_ball_is_selfsimilar_but_not_normalized(self):
         # residual is scale-covariant so the gate passes, then the
         # volume report flags the mismatch
-        reports = gi.check_soliton_properties(ball(1, 1.1), 2.0)
+        reports = check_soliton_properties(ball(1, 1.1), 2.0)
         by_name = {r.name: r for r in reports}
         assert not by_name["soliton-volume-matches-unit-ball"].passed
         assert by_name["soliton-entropy-point-at-origin"].passed
@@ -226,7 +279,7 @@ class TestCurvatureImageRandom:
 
 class TestSolitonChecks:
     def test_converged_state(self, converged_n1):
-        reports = gi.check_soliton_properties(converged_n1, 1.0)
+        reports = check_soliton_properties(converged_n1, 1.0)
         names = [r.name for r in reports]
         assert "soliton-dual-volume-above-ball" in names
         assert any(n.startswith("soliton-entropy-origin-nonpositive-at-0.333333")
@@ -240,7 +293,7 @@ class TestSolitonChecks:
 
     def test_affine_soliton_ellipse(self):
         u = ellipse_n1(2.0, 0.5)
-        reports = gi.check_soliton_properties(u, 1.0 / 3)
+        reports = check_soliton_properties(u, 1.0 / 3)
         by_name = {r.name: r for r in reports}
         assert by_name["soliton-volume-matches-unit-ball"].passed
         assert by_name["soliton-entropy-point-at-origin"].passed
@@ -256,7 +309,7 @@ class TestSolitonChecks:
 
     def test_rejects_non_soliton(self):
         with pytest.raises(NotASoliton):
-            gi.check_soliton_properties(ellipse_n1(1.4, 0.8, L=16), 1.0)
+            check_soliton_properties(ellipse_n1(1.4, 0.8, L=16), 1.0)
 
 
 class TestFuzzSuite:
@@ -284,20 +337,88 @@ class TestFuzzSuite:
         # other seeds' rows are those of an unbroken run in radius stacks
         # of any size
         whole = gi.fuzz_suite(1, range(5))
-        random_body = gb.random_body
+        random_bodies = gb.random_bodies
 
-        def fail_seed_1(seed, *args, **kwargs):
-            if seed == 1:
-                raise RandomBodyFailure("no draw")
-            return random_body(seed, *args, **kwargs)
+        def fail_seed_1(seeds, *args, **kwargs):
+            made = random_bodies(seeds, *args, **kwargs)
+            return [RandomBodyFailure("no draw") if s == 1 else u for s, u in zip(seeds, made)]
 
-        monkeypatch.setattr(gb, "random_body", fail_seed_1)
+        monkeypatch.setattr(gb, "random_bodies", fail_seed_1)
         monkeypatch.setattr(gi, "_FUZZ_BLOCK", 2)
         broken = gi.fuzz_suite(1, range(5))
         rows = len(whole) // 5
         assert broken[rows].name == "check-error"
         assert broken[rows].inputs == {"seed": 1, "error": "no draw"}
         assert broken[:rows] + broken[rows + 1:] == whole[:rows] + whole[2 * rows:]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_exponent_rows_are_the_grid_rows(self, dim):
+        # a row's bits do not depend on the exponents solved beside it
+        seeds = range(100, 106)
+        grid_rows = {(r.inputs["body"], r.name, r.inputs.get("alpha")): r
+                     for r in gi.fuzz_suite(dim, seeds)}
+        for alpha in gi.alpha_grid(dim):
+            for r in gi.fuzz_suite(dim, seeds, alphas=(alpha,)):
+                assert r == grid_rows[(r.inputs["body"], r.name, r.inputs.get("alpha"))]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_seed_alone_gives_its_rows_in_the_block(self, dim, monkeypatch):
+        # seed 4's entropy rows never step, so it fails in the block's stack
+        seeds = [2, 4, 7, 9, 13]
+        failing = gb.random_body(4, dim, 16 if dim == 1 else 8, 0.1)
+        real = ge._newton_steps
+
+        def stuck(ex, at):
+            dz = real(ex, at)
+            dz[(ex.values == failing.values).all(axis=1)] = 0.0
+            return dz
+
+        monkeypatch.setattr(ge, "_newton_steps", stuck)
+        block = gi.fuzz_suite(dim, seeds)
+        assert [r.inputs["seed"] for r in block if r.name == "check-error"] == [4]
+        assert block == [r for seed in seeds for r in gi.fuzz_suite(dim, [seed])]
+
+    def test_stacked_images_are_the_one_body_images(self):
+        bodies = [gb.random_body(seed, 1, 16, 0.1) for seed in range(5)]
+        alphas = [-1.0, 1.0 / 3.0, 1.0, 5.0]
+        eps = [ge.entropy_points(u, alphas) for u in bodies]
+        stacked = gi._curvature_images(bodies, [gb.volume(u) for u in bodies], alphas, eps)
+        for u, points, images in zip(bodies, eps, stacked, strict=True):
+            for alpha, ep, im in zip(alphas, points, images, strict=True):
+                one = gi.curvature_image(u, alpha, ep=ep)
+                assert np.array_equal(im.density, one.density)
+                assert im.mixed_volume == one.mixed_volume
+                assert np.array_equal(im.body.values, one.body.values)
+
+    def test_an_image_error_stays_with_its_body(self, monkeypatch):
+        # an off-center entropy point breaks body 1's compatibility only
+        bodies = [gb.random_body(seed, 1, 16, 0.1) for seed in range(3)]
+        alphas = [1.0, 2.0]
+        eps = [ge.entropy_points(u, alphas) for u in bodies]
+        eps[1] = [dataclasses.replace(ep, point=ep.point + np.array([0.05, 0.0]))
+                  for ep in eps[1]]
+        with pytest.raises(CompatibilityViolation) as alone:
+            gi.curvature_image(bodies[1], alphas[0], ep=eps[1][0])
+        out = gi._curvature_images(bodies, [gb.volume(u) for u in bodies], alphas, eps)
+        assert isinstance(out[1], CompatibilityViolation)
+        assert str(out[1]) == str(alone.value)
+        assert all(isinstance(im, gi.CurvatureImage) for b in (0, 2) for im in out[b])
+
+    def test_a_nonconvex_image_stays_with_its_body(self, monkeypatch):
+        # the stacked build loses convexity in body 1's second image only
+        bodies = [gb.random_body(seed, 1, 16, 0.1) for seed in range(3)]
+        alphas = [1.0, 2.0]
+        eps = [ge.entropy_points(u, alphas) for u in bodies]
+        real = gb.support_functions
+
+        def lose_row_3(grid, values):
+            built = real(grid, values)
+            return [*built[:3], ConvexityLost(7, -1.0), *built[4:]]
+
+        monkeypatch.setattr(gb, "support_functions", lose_row_3)
+        out = gi._curvature_images(bodies, [gb.volume(u) for u in bodies], alphas, eps)
+        assert isinstance(out[1], ConvexityLost) and out[1].node == 7
+        assert all(isinstance(im, gi.CurvatureImage) for b in (0, 2) for im in out[b])
 
 
 def smoothed_triangle(eps=0.05, L=128):
