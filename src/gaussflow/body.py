@@ -90,23 +90,24 @@ class BodyGeometry:
         return sg.frame_gradient(self.frame)
 
 
-def _invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
-    """det A and lambda_min(A) per node of a frame or a stack of frames."""
+def curvature_invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
+    """det A and lambda_min(A) per node of a frame; raises ConvexityLost
+    at the node of the smallest lambda_min unless every one is positive.
+    Given the rows of k frames as one (3n, k, nodes) array (a stack with
+    its first two axes swapped), it returns (k, nodes) arrays and leaves
+    the check of each frame to the caller (`_geometries`)."""
     entries = sg.tensor_rows(frame)
     if len(entries) == 1:
         f = entries[0].copy()
-        return f, f.copy()
-    a, b, c = entries
-    return a * c - b * b, 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
-
-
-def curvature_invariants(frame: NDArray) -> tuple[NDArray, NDArray]:
-    """det A and lambda_min(A) per node of a frame; raises ConvexityLost
-    at the node of the smallest lambda_min unless every one is positive."""
-    f, lam = _invariants(frame)
-    i = int(lam.argmin())
-    if lam[i] <= 0.0:
-        raise ConvexityLost(i, lam[i])
+        lam = f.copy()
+    else:
+        a, b, c = entries
+        f = a * c - b * b
+        lam = 0.5 * (a + c) - np.sqrt(0.25 * (a - c) ** 2 + b * b)
+    if lam.ndim == 1:
+        i = int(lam.argmin())
+        if lam[i] <= 0.0:
+            raise ConvexityLost(i, lam[i])
     return f, lam
 
 
@@ -117,14 +118,15 @@ def _geometries(grid: sg.SphereGrid, values: NDArray) -> list[BodyGeometry | Con
     lambda_min). Every step is row by row or elementwise, so a row's data
     has the bits of that field alone."""
     fd = sg.frame_hessian(grid, values)
-    frames = sg.frame_of(values, fd.hessian, fd.gradient)
+    frames, spectra = sg.frame_of(values, fd.hessian, fd.gradient), fd.spectrum
     frames.setflags(write=False)
-    f, lam = _invariants(frames)
+    if values.ndim == 1:
+        frames, spectra = frames[None], spectra[None]
+    f, lam = curvature_invariants(frames.swapaxes(0, 1))
     with np.errstate(divide="ignore"):  # a rejected row may have f = 0
         K = 1.0 / f
-    rows = [a if values.ndim == 2 else a[None] for a in (frames, f, K, lam, fd.spectrum)]
     return [BodyGeometry(*row) if row[3][j] > 0.0 else ConvexityLost(j, row[3][j])
-            for j, row in zip(rows[3].argmin(axis=1).tolist(), zip(*rows))]
+            for j, row in zip(lam.argmin(axis=1).tolist(), zip(frames, f, K, lam, spectra))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +201,7 @@ def support_functions(grid: sg.SphereGrid, values: NDArray) -> list[SupportFunct
     """A body about the origin for each row of the (k, nodes) stack
     `values`, from one transform of the stack: per row the body that
     `SupportFunction(grid, row)` builds, with its bits, or the
-    ConvexityLost that build raises. The one-row build is this stack's
-    one-row case."""
+    ConvexityLost that build raises; both are `_geometries`."""
     origin = np.zeros(grid.dim + 1)
     origin.setflags(write=False)
     return [g if isinstance(g, ConvexityLost) else _attach(grid, origin, g)
@@ -526,7 +527,7 @@ def random_bodies(seeds, dim: int, bandlimit: int, amplitude: float,
     seeds = list(seeds)
     grid = sg.build_grid(dim, bandlimit)
     degrees = [d for d in range(2, min(6, bandlimit) + 1) if not (centrally_symmetric and d % 2)]
-    blocks = [(d**3, np.flatnonzero(grid.degrees == d)) for d in degrees]
+    blocks = [(d**3, grid.degrees == d) for d in degrees]
     out: list = [None] * len(seeds)
     drawing = [(i, np.random.default_rng(seed), float(amplitude)) for i, seed in enumerate(seeds)]
     for _ in range(51):
@@ -534,8 +535,8 @@ def random_bodies(seeds, dim: int, bandlimit: int, amplitude: float,
             break
         coeffs = np.zeros((len(drawing), grid.coeff_count))
         for row, (_, rng, amp) in zip(coeffs, drawing):
-            for cube, index in blocks:
-                row[index] = rng.standard_normal(index.size) * amp / cube
+            for cube, of_degree in blocks:
+                row[of_degree] = rng.standard_normal(np.count_nonzero(of_degree)) * amp / cube
         built = support_functions(grid, 1.0 + np.array([sg.synthesize(grid, c) for c in coeffs]))
         redraw = []
         for (i, rng, amp), u in zip(drawing, built):

@@ -496,9 +496,8 @@ def frame_of(values: NDArray, hessian: NDArray, gradient: NDArray) -> NDArray:
 
 def tensor_rows(frame: NDArray) -> NDArray:
     """The rows of a frame that hold the entries of A: A on the circle,
-    A11, A12, A22 on the sphere; of a stack of frames, entry r of every
-    frame is row r of the result."""
-    return frame.swapaxes(0, -2)[1: 2 * (frame.shape[-2] // 3)]
+    A11, A12, A22 on the sphere."""
+    return frame[1: 2 * (len(frame) // 3)]
 
 
 def frame_tensor(frame: NDArray) -> NDArray:
