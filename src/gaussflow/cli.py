@@ -181,7 +181,7 @@ _SUBCOMMANDS = {
              "input kind alpha t-end sample-every stop-residual u-floor svg-curves"),
     "verify": ("run inequality check suites", "suite alpha seeds seed-count amplitude"),
     "sweep": ("alpha x seed sweep of normalized runs", "alpha seeds seed-count shape "
-              "axes amplitude symmetric t-end stop-residual workers"),
+              "axes amplitude symmetric t-end sample-every stop-residual workers"),
 }
 
 
@@ -372,7 +372,7 @@ def _sweep_one(cfg: RunConfig, alpha: float, seed: int):
     try:
         u0 = _build_shape(cfg, seed)
         u0 = gb.normalize_volume(u0)
-        rr = gf.run(u0, "normalized", alpha, cfg.t_end,
+        rr = gf.run(u0, "normalized", alpha, cfg.t_end, cfg.sample_every,
                     stop_residual=cfg.stop_residual)
         final, last = rr.final_state.u, rr.records[-1]  # last describes final
         haus = float(np.abs(final.values - final.grid.nodes @ last.entropy_point

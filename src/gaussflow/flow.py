@@ -4,9 +4,17 @@ Three flow kinds act on the support function u of a uniformly convex
 body:
 
 - "unnormalized":  du/dtau = -K^alpha          (contracting)
-- "normalized":    du/dt   = -K^alpha/eta + u  (volume held at |B(1)|),
+- "normalized":    du/dt   = P(-K^alpha/eta + u)  (volume held at |B(1)|),
                    eta = avg K^(alpha-1)
 - "expanding":     du/dt   = u^(1+1/alpha) / K
+
+P removes the degree-1 part <x, c>, c = (n+1)/|S^n| int v x, of the
+normalized velocity v. That part only translates the body, and about
+the ball it grows like e^t, so without P a body without central
+symmetry drifts off the origin until a step fails. With it the Steiner
+point (n+1)/|S^n| int u x is fixed; `run` puts it at the origin at
+t = 0, so the soliton residual, taken about the origin, measures the
+shape alone.
 
 Stepping is classic RK4 with the spectral stability cap
 dt <= 1.5 / (L(L+1) D_max) (bandlimit L, largest diffusivity D_max) and
@@ -104,8 +112,13 @@ def _velocity(state: FlowState, values: NDArray, f: NDArray,
     Ka = K**alpha
     if state.kind == "unnormalized":
         return -Ka, abs(alpha), Ka, 1.0
-    eta = sg.average(state.u.grid, K ** (alpha - 1.0))
-    return values - Ka / eta, abs(alpha), Ka, eta
+    grid = state.u.grid
+    eta = sg.average(grid, K ** (alpha - 1.0))
+    v = values - Ka / eta
+    # less its degree-1 part <x, c>, c = (n+1)/|S^n| int v x: the
+    # translation mode, which keeps the Steiner point fixed
+    c = (grid.dim + 1) * (grid.weights * v) @ grid.nodes / sg.sphere_area(grid.dim)
+    return v - grid.nodes @ c, abs(alpha), Ka, eta
 
 
 def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
@@ -357,7 +370,8 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
     """Run a flow from t = 0 to t_end with periodic diagnostics.
 
     Normalized runs require pre-normalized volume; their basepoint is
-    recentered once, at t = 0, to the entropy point. The run stops early
+    recentered once, at t = 0, to the Steiner point, which the flow
+    keeps fixed. The run stops early
     when the soliton residual drops below stop_residual (default 1e-8 for n=1, 1e-6 for n=2, normalized
     kind only; pass None to disable) or, for unnormalized runs, when
     min u reaches u_floor; both are checked at t = 0 too. On StepFailure
@@ -379,7 +393,7 @@ def run(initial: SupportFunction, kind: str, alpha: float, t_end: float,
         target = sg.ball_volume(u.dim)
         if abs(gb.volume(u) - target) > 1e-8 * target:
             raise ValueError("normalized runs need volume pre-normalized to the unit ball's")
-        u = gb.support_about(u, ge.entropy_point(u, alpha).point)
+        u = gb.support_about(u, ge.steiner_point(u))
     state = FlowState(kind=kind, alpha=alpha, time=0.0, u=u)
     records, samples, steps = [], [], 0
     bases = None

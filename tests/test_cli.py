@@ -389,6 +389,25 @@ class TestSweep:
         assert float(row[4]) <= 1e-4   # it is (numerically) a soliton
         assert float(row[5]) >= 0.4    # and nowhere near the ball
 
+    def test_sampled_sweep_stops_by_residual(self, tmp_path, monkeypatch):
+        # bodies without symmetry; each run stops at a sample time before t_end
+        real_run, finals = gf.run, []
+
+        def recording(*args, **kwargs):
+            rr = real_run(*args, **kwargs)
+            finals.append(rr.final_state.time)
+            return rr
+
+        monkeypatch.setattr(gf, "run", recording)
+        rc = main(["sweep", "--alpha", "1,2", "--seeds", "0,1", "--dim", "1",
+                   "--sample-every", "0.25", "--t-end", "14", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = [l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 4 and all(r[3] == "residual" and r[7] == "ok" for r in rows)
+        assert len(finals) == 4
+        for t in finals:
+            assert t < 14.0 and abs(t / 0.25 - round(t / 0.25)) <= 1e-9
+
     def test_empty_alpha_is_usage_error(self, tmp_path):
         rc = main(["sweep", "--alpha", "", "--seeds", "0",
                    "--out-dir", str(tmp_path)])
@@ -586,8 +605,8 @@ class TestFlagRules:
         ("make-body", "amplitude axes normalize out radius seed shape symmetric"),
         ("flow", "alpha input kind sample-every stop-residual svg-curves t-end u-floor"),
         ("verify", "alpha amplitude seed-count seeds suite"),
-        ("sweep", "alpha amplitude axes seed-count seeds shape stop-residual "
-                  "symmetric t-end workers"),
+        ("sweep", "alpha amplitude axes sample-every seed-count seeds shape "
+                  "stop-residual symmetric t-end workers"),
     ], ids=["make-body", "flow", "verify", "sweep"])
     def test_help_lists_the_subcommands_flags(self, capsys, sub, flags):
         assert main([sub, "--help"]) == 0

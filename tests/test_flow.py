@@ -448,11 +448,67 @@ class TestStops:
 
 
 class TestRecentering:
-    def test_normalized_run_starts_at_entropy_point(self):
+    def test_normalized_run_starts_at_steiner_point(self):
         u0 = gb.random_body(11, 1, 16, 0.08)
-        zg = ge.entropy_point(u0, 1.0).point
+        zs = ge.steiner_point(u0)
         res = gf.run(u0, "normalized", 1.0, 0.005, stop_residual=None)
-        assert_allclose(res.samples[0][1].basepoint, u0.basepoint + zg, atol=1e-12)
+        assert_allclose(res.samples[0][1].basepoint, u0.basepoint + zs, atol=1e-12)
+
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_the_steiner_point_stays_at_the_origin(self, dim, L):
+        res = gf.run(gb.random_body(11, dim, L, 0.1), "normalized", 1.0, 0.5,
+                     sample_every=0.1, stop_residual=None)
+        for _, u in res.samples:
+            assert np.abs(ge.steiner_point(u)).max() <= 1e-14
+
+
+def nonquadratic_part(u):
+    """max |u^2 - x^T Q x| over the nodes for the quadrature least-squares
+    fit Q: zero for an ellipsoid centred at the origin, whatever its axes."""
+    x = u.grid.nodes
+    d = x.shape[1]
+    B = np.array([x[:, i] * x[:, j] for i in range(d) for j in range(i, d)]).T
+    w = np.sqrt(u.grid.weights)
+    q, *_ = np.linalg.lstsq(B * w[:, None], u.values**2 * w, rcond=None)
+    return float(np.abs(u.values**2 - B @ q).max())
+
+
+class TestWithoutSymmetry:
+    """Normalized runs of bodies without central symmetry, whose degree-1
+    (translation) mode the flow removes."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim, L, alpha, degree, t_end, every, tol", [
+        (1, 16, 1.0, 2, 4.0, 0.5, 2e-3),
+        (1, 16, 1 / 3, 3, 3.0, 0.25, 4e-3),
+        (2, 8, 1.0, 2, 4.0, 0.5, 3e-3),
+        (2, 8, 0.25, 3, 3.0, 0.25, 3.5e-3),
+    ], ids=["n1-above", "n1-at", "n2-above", "n2-at"])
+    def test_late_rate_matches_linearisation(self, seed, dim, L, alpha, degree,
+                                             t_end, every, tol):
+        # at 1/(n+2) odd shapes carry l = 3, the slowest mode after l = 2
+        u0 = gb.random_body(seed, dim, L, 0.1)
+        res = gf.run(u0, "normalized", alpha, t_end, sample_every=every,
+                     stop_residual=None)
+        (t0, r0), (t1, r1) = [(r.time, r.soliton_res) for r in res.records[-2:]]
+        assert abs(np.log(r0 / r1) / (t1 - t0) - linear_rate(dim, alpha, degree)) <= tol
+
+    @pytest.mark.parametrize("dim,L,alpha", [(1, 16, 2.0), (2, 8, 1.0)])
+    def test_a_run_to_t14_ends_round(self, dim, L, alpha):
+        res = gf.run(gb.random_body(0, dim, L, 0.1), "normalized", alpha, 14.0,
+                     sample_every=1.0, stop_residual=None)
+        assert res.stop_reason == "t_end" and res.final_state.time == pytest.approx(14.0)
+        assert np.abs(res.final_state.u.values - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("dim,L,tol", [(1, 16, 1e-7), (2, 8, 1e-5)])
+    def test_affine_limit_is_an_ellipsoid(self, seed, dim, L, tol):
+        # alpha = 1/(n+2): the limit is an ellipsoid about the Steiner point
+        u0 = gb.random_body(seed, dim, L, 0.1)
+        res = gf.run(u0, "normalized", 1.0 / (dim + 2), 20.0, sample_every=0.25)
+        assert res.stop_reason == "residual"
+        assert nonquadratic_part(gb.support_about(u0, ge.steiner_point(u0))) >= 1e-3
+        assert nonquadratic_part(res.final_state.u) <= tol
 
 
 class TestWarmStartedRadii:
