@@ -192,7 +192,7 @@ def with_geometry(u: SupportFunction, geometry: BodyGeometry) -> SupportFunction
     """The body on u's grid and basepoint with this curvature data, whose
     frame's row 0 gives its support values; made without a transform and
     without a check, so the caller answers for `geometry` being the data
-    of a convex body (a dilate in `scale`, a checked RK4 combination in
+    of a convex body (a dilate in `scale`, a checked step combination in
     `flow.step`). Takes ownership of the frame, which it makes read-only."""
     return _attach(u.grid, u.basepoint, geometry)
 

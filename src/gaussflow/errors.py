@@ -68,9 +68,10 @@ class RadiiNonConvergence(GaussFlowError):
 
 
 class StepFailure(GaussFlowError):
-    """A flow step kept losing convexity/positivity after max halvings,
-    or its dt no longer advances the clock. `flow.run` sets `partial` to
-    the run up to the failure."""
+    """A flow step kept failing (losing convexity or positivity, or its
+    error estimate) after max rejected attempts, or its dt no longer
+    advances the clock. `flow.run` sets `partial` to the run up to the
+    failure."""
 
     def __init__(self, node: int | None, dt: float, rejections: int):
         self.partial = None
@@ -78,7 +79,7 @@ class StepFailure(GaussFlowError):
         self.dt = float(dt)
         self.rejections = int(rejections)
         where = f" near node {node}" if node is not None else ""
-        super().__init__(f"step failed after {rejections} halvings (dt {dt:.3e}){where}")
+        super().__init__(f"step failed after {rejections} rejected attempts (dt {dt:.3e}){where}")
 
 
 class CompatibilityViolation(GaussFlowError):

@@ -16,21 +16,31 @@ point (n+1)/|S^n| int u x is fixed; `run` puts it at the origin at
 t = 0, so the soliton residual, taken about the origin, measures the
 shape alone.
 
-Stepping is classic RK4 with the spectral stability cap
-dt <= 1.5 / (L(L+1) D_max) (bandlimit L, largest diffusivity D_max) and
-step rejection (halving, up to 12 times) whenever a stage or the
-accepted body loses uniform convexity or positivity. A body caches its
-values, curvature tensor A and gradient as one frame array, and its
-spectrum (`body.BodyGeometry`); both are linear in u. A stage is the
-accepted body u plus h times a projected increment k, so its frame and
-spectrum are u's plus h times k's, which one analysis and one synthesis
-of du give (`sphere_grid.project_frame`): one array sum each. It is
-checked like a body build (spectral tail, lambda_min > 0, u > 0) but
-builds no SupportFunction. The accepted body u + dt/6 (k1 + 2 (k2 + k3)
-+ k4) is made the same way from the stages' summed frames and checked
-in the same order, so a step transforms no body. A normalized step then
-multiplies the accepted frame and spectrum by the rescale to the
-unit-ball volume, in place, before it makes the body; the accumulated
+Stepping is exponential (ETDRK4, Cox-Matthews, with phi functions in
+closed form) under error control; see `step`. Per step the velocity is
+split into the stiff diffusion D_bar (Delta + n) (+1 for the normalized
+kind), with the diffusivity D frozen at its node mid-range D_bar, which
+the step takes exactly, and a remainder taken to fourth order. So
+accuracy alone sets dt: a PI controller keeps an embedded third-order
+error estimate within TOLERANCE, and the old RK4 stability cap
+1.5 / (L(L+1) D_max) survives only as the first step's guess. Near the
+ball, where every RK4 step was set by that cap, steps grow to whatever
+the sampling allows. A step whose stage or new body loses uniform
+convexity or positivity is rejected and retried at half the step.
+
+A body caches its values, curvature tensor A and gradient as one frame
+array, and its spectrum (`body.BodyGeometry`); both are linear in u. The
+step works with increments over u in coefficient space: each stage and
+the new body is u plus an increment whose spectrum is a per-degree
+combination of the stages' velocity spectra (`sphere_grid.band_spectrum`)
+and whose frame comes from one synthesis (`sphere_grid.synthesize_frame`),
+added to u's cached frame and spectrum. It is checked like a body build
+(spectral tail, lambda_min > 0, u > 0) but builds no SupportFunction, so
+a step transforms no body. Per step that is 4 analyses and 4 syntheses:
+the new body's velocity, which gives the error estimate, is the next
+step's first stage (FlowState.velocity). A normalized step then
+multiplies the new frame and spectrum by the rescale to the unit-ball
+volume, in place, before it makes the body; the accumulated
 |log rescale| is kept as an accuracy diagnostic.
 
 Per-sample diagnostics cover the entropy (about the moving entropy point
@@ -43,7 +53,8 @@ recorded instead of NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,15 +82,58 @@ __all__ = [
 ]
 
 KINDS = ("unnormalized", "normalized", "expanding")
+# Local error allowed per step, relative to the RMS of the body's support
+# values. It keeps the worst error at t = 0.5 over the seven sweep-n1
+# bodies of workload seed 1 within the old RK4 step's worst (2.9e-11
+# against 6.7e-11) and the shrinking circle at L = 32 within 1e-10
+# (4.1e-11); CHANGES.md has the per-body figures.
+TOLERANCE = 1e-10
+# The first step tries the old RK4 stability cap SPECTRAL_FACTOR /
+# (L(L+1) D_max); the controller proposes every later h.
 SPECTRAL_FACTOR = 1.5
-MAX_HALVINGS = 12
+MAX_REJECTIONS = 12
 MAX_BRACKET_STEPS = 100_000
 DEFAULT_STOP_RESIDUAL = {1: 1e-8, 2: 1e-6}
+# PI step-size controller (Gustafsson; Hairer-Wanner, Solving ODEs II,
+# IV.2) for an error estimate of order 4: h_new = h * SAFETY *
+# err^-0.175 * err_last^0.1, the factor held to [SHRINK, GROW].
+SAFETY, SHRINK, GROW = 0.9, 0.2, 5.0
+_PI_EXPONENTS = (0.7 / 4.0, 0.4 / 4.0)
+# Taylor coefficients 1/(j+k)! of phi_k, k = 1, 2, 3 (columns), to below
+# an ulp at |x| = 1/2.
+_PHI_TAYLOR = np.array([[1.0 / math.factorial(j + k) for k in (1, 2, 3)] for j in range(16)])
+# The step's weights per degree (see `step`) as combinations, each times
+# h, of phi_1, phi_2, phi_3 at z and at z/2 (the rows): the columns are
+# phi_1'/2, phi_1, b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2.
+_WEIGHTS = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 2.0, -1.0],
+    [0.0, 0.0, -4.0, 4.0],
+    [0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+])
+
+
+class Velocity(NamedTuple):
+    """du/dt of `body` as the step uses it: its `sg.band_spectrum`, and the
+    least and largest diffusivity D = c w / (lambda_min den) on the nodes."""
+
+    body: SupportFunction
+    band: NDArray
+    d_min: float
+    d_max: float
 
 
 @dataclass(frozen=True)
 class FlowState:
-    """One flow in progress: kind, exponent, clock, current body, step stats."""
+    """One flow in progress: kind, exponent, clock, current body, step stats.
+
+    dt_next is the step-size controller's proposal (0 before the first
+    step), error_last the last step's scaled error estimate, and velocity
+    that of u: the step that made u evaluated it last, for its error
+    estimate, and the next step takes it as its first stage (first same
+    as last). A velocity of another body is not used."""
 
     kind: str
     alpha: float
@@ -88,6 +142,9 @@ class FlowState:
     dt_last: float = 0.0
     rejected_steps: int = 0
     cumulative_rescale: float = 0.0
+    dt_next: float = 0.0
+    error_last: float = 1.0
+    velocity: Velocity | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -101,8 +158,8 @@ def _velocity(state: FlowState, values: NDArray, f: NDArray,
     """du/dt on the nodes, before projection, of the body with support
     values `values`, surface-area density f and curvature K = 1/f under
     the state's flow, with the factors c, w and the denominator den of
-    its diffusivity D = c w / (lambda_min den); the one formula of `rhs`,
-    the RK4 stages and the step cap. Only the cap multiplies out c w."""
+    its diffusivity D = c w / (lambda_min den); the one formula of `rhs`
+    and of the step's stages."""
     alpha = state.alpha
     if state.kind == "expanding":
         if values.min() <= 0.0:
@@ -112,105 +169,191 @@ def _velocity(state: FlowState, values: NDArray, f: NDArray,
     Ka = K**alpha
     if state.kind == "unnormalized":
         return -Ka, abs(alpha), Ka, 1.0
-    grid = state.u.grid
-    eta = sg.average(grid, K ** (alpha - 1.0))
-    v = values - Ka / eta
-    # less its degree-1 part <x, c>, c = (n+1)/|S^n| int v x: the
-    # translation mode, which keeps the Steiner point fixed
-    c = (grid.dim + 1) * (grid.weights * v) @ grid.nodes / sg.sphere_area(grid.dim)
-    return v - grid.nodes @ c, abs(alpha), Ka, eta
+    eta = sg.average(state.u.grid, K ** (alpha - 1.0))
+    return values - Ka / eta, abs(alpha), Ka, eta
 
 
-def _increment(state: FlowState, values: NDArray, f: NDArray, K: NDArray) -> sg.ProjectedFrame:
-    return sg.project_frame(state.u.grid, _velocity(state, values, f, K)[0])
+def _band(state: FlowState, v: NDArray) -> NDArray:
+    """The band spectrum of the node velocity v, for the normalized kind
+    less its degree-1 part (module docstring)."""
+    band = sg.band_spectrum(state.u.grid, v)
+    if state.kind == "normalized":
+        band[1] = 0.0
+    return band
+
+
+def _velocity_of(state: FlowState, body: SupportFunction, g: gb.BodyGeometry) -> Velocity:
+    v, c, w, den = _velocity(state, g.frame[0], g.f, g.K)
+    d = w / g.lam_min
+    return Velocity(body, _band(state, v), c / den * float(d.min()), c / den * float(d.max()))
 
 
 def rhs(state: FlowState) -> NDArray:
-    """Right-hand side du/dt on the nodes, re-projected to the bandlimit."""
+    """Right-hand side du/dt on the nodes, re-projected to the bandlimit
+    (for the normalized kind, less its degree-1 part)."""
     g = curvature_data(state.u)
-    return _increment(state, state.u.values, g.f, g.K).rows[0]
+    band = _band(state, _velocity(state, state.u.values, g.f, g.K)[0])
+    return sg.synthesize_frame(state.u.grid, band)[0]
+
+
+@lru_cache(maxsize=8)
+def _laplace_plus_n(n: int, L: int) -> NDArray:
+    """n - l(l+n-1), the eigenvalue of Delta + n on degree l <= L of S^n."""
+    degree = np.arange(L + 1)
+    out = n - degree * (degree + n - 1.0)
+    out.setflags(write=False)
+    return out
+
+
+def _phi(x: NDArray) -> NDArray:
+    """phi_1, phi_2, phi_3 of x (phi_0 = e^x, phi_k+1 = (phi_k - 1/k!)/x)
+    as the columns of one array, each to a few ulp: by that recurrence
+    from expm1 where |x| >= 1/2, else by their Taylor series."""
+    small = np.abs(x) < 0.5
+    y = np.where(small, 1.0, x)
+    b1 = np.expm1(y) / y
+    b2 = (b1 - 1.0) / y
+    closed = np.stack([b1, b2, (b2 - 0.5) / y], axis=1)
+    taylor = np.vander(x, len(_PHI_TAYLOR), increasing=True) @ _PHI_TAYLOR
+    return np.where(small[:, None], taylor, closed)
 
 
 def step(state: FlowState, dt_request: float) -> FlowState:
-    """Advance one RK4 step of size min(dt_request, stability cap).
+    """Advance one ETDRK4 step of size min(dt_request, the controller's
+    proposal), under error control.
 
-    The cap is c_s / (L(L+1) D_max), c_s = SPECTRAL_FACTOR, with the largest
-    diffusivity D_max from the evaluation that gives k1. The stiff part
-    D (Delta + n) reaches -D (L^2 - 1) on the circle at bandlimit L
-    (-D (L(L+1) - 2) on S^2), and RK4 is stable on the negative real axis
-    to |z| = 2.785 (Hairer-Norsett-Wanner, Solving ODEs I), so c_s <= 2.785
-    L/(L-1), 2.96 at L = 16. A 1e-6 cos(16 theta) perturbation of the unit
-    circle decays at c_s = 1.5 and grows at 3.2: 1.5 keeps a 1.9x margin.
+    The velocity F(u) is split as Lambda u + N(u), with Lambda diagonal
+    in degree l: D_bar (n - l(l+n-1)), +1 for the normalized kind. That
+    is the stiff diffusion D (Delta + n) of the flow with D frozen for the
+    step at the node mid-range D_bar = (min D + max D)/2 of u, which keeps
+    every h stable on strongly anisotropic bodies where the node mean
+    does not. The step is ETDRK4 (Cox-Matthews, JCP 176, 2002), an
+    exponential Runge-Kutta scheme of order 4 that takes the linear part
+    exactly, so accuracy alone sets h. (Krogstad's variant, whose stages
+    differ, took fewer steps on the sweep bodies but lost stability on
+    the 2:0.5 ellipse at L = 128 and alpha = 1/3 from h = 5e-4 up.)
+    Written for the increments of its stages a, b, c and of the new body
+    over u, with F_x = F(x), phi_k = phi_k(h Lambda), phi_1' =
+    phi_1(h Lambda / 2) and N_x = F_x - F_u - Lambda (x - u):
 
-    Any stage, or the accepted body, that loses uniform convexity or
-    positivity rejects the step; dt is halved and the step retried, up
-    to 12 times, after which StepFailure reports the offending node. A
-    dt that cannot advance the clock raises StepFailure at once.
+        a - u   = h/2 phi_1' F_u
+        b - u   = h/2 phi_1' (F_u + N_a)
+        c - u   = e^(h Lambda / 2) (a - u) + h/2 phi_1' (F_u + 2 N_b)
+        new - u = h (phi_1 F_u + b2 (N_a + N_b) + b4 N_c)
 
-    The accepted body takes no transform: its frame (values, A and
-    gradient) and spectrum are linear in u, so they are u's cached ones
-    plus dt/6 times those of the increments' sum k1 + 2 (k2 + k3) + k4,
-    checked like a stage. A normalized step multiplies that frame and
-    spectrum by the volume rescale s in place (f by s^n, K by s^-n,
-    lambda_min by s) and attaches the result by `body.with_geometry`.
+    with b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2 (`_WEIGHTS`); u
+    itself drops out, so a body with F = 0 is kept exactly. Each
+    increment is built in coefficient space (`sg.band_spectrum`) and
+    synthesized once as a frame (`sg.synthesize_frame`): a stage's frame
+    and spectrum are u's cached ones plus those of its increment, checked
+    like a body build (spectral tail, lambda_min > 0, u > 0) without one.
+    A normalized step then multiplies the new frame and spectrum by the
+    rescale to the unit-ball volume, in place (f by s^n, K by s^-n,
+    lambda_min by s), and attaches the result by `body.with_geometry`;
+    the accumulated |log rescale| is kept as an accuracy diagnostic.
+
+    Error control: the velocity of the new body, which the next step
+    reuses (FlowState.velocity), stands in for F_c in the last weight;
+    that embedded solution is of order 3, and h b4 (N_c - N_new) is the
+    estimate of its error, O(h^4). Its RMS over the sphere, over TOLERANCE times
+    the RMS of u, is the scaled error. Above 1 the attempt is rejected
+    and h cut by the controller; else the step is taken and the PI
+    controller proposes the next h (FlowState.dt_next). The first step of
+    a state without a proposal tries the old RK4 stability cap
+    SPECTRAL_FACTOR / (L(L+1) max D).
+
+    An attempt whose stage or new body loses uniform convexity or
+    positivity is rejected too, and h halved. rejected_steps counts both
+    kinds of rejected attempts; after MAX_REJECTIONS of them in one step
+    StepFailure reports the offending node, if there is one. An h that
+    cannot advance the clock raises StepFailure at once.
     """
     if dt_request <= 0.0:
         raise ValueError("dt_request must be positive")
     u = state.u
+    grid, n, L = u.grid, u.dim, u.grid.bandlimit
     g = curvature_data(u)
-    v, c, w, den = _velocity(state, u.values, g.f, g.K)
-    L = u.grid.bandlimit
-    d_max = float(((c * w / g.lam_min) / den).max())
-    dt = min(dt_request, SPECTRAL_FACTOR / (L * (L + 1) * d_max))
-    k1 = sg.project_frame(u.grid, v)
+    vel = state.velocity
+    if vel is None or vel.body is not u:
+        vel = _velocity_of(state, u, g)
+    lam = 0.5 * (vel.d_min + vel.d_max) * _laplace_plus_n(n, L) + (state.kind == "normalized")
+    lam_twice = np.stack([lam, 0.5 * lam], axis=1).ravel()  # h lam_twice: z, z/2 per degree
+    column = (_WEIGHTS.shape[1], L + 1) + (1,) * n  # per-degree columns of a band
+    lam_col = lam.reshape(column[1:])
+    proposal = state.dt_next or SPECTRAL_FACTOR / (L * (L + 1) * vel.d_max)
+    dt = min(dt_request, proposal)
+    scale = TOLERANCE * sg.band_rms(grid, g.spectrum[: L + 1])
+    F_u = vel.band
 
-    def advance(h, k):
-        """Frame, spectrum, f and lambda_min of u + h k, u's frame and
-        spectrum plus h times k's; checked in the order a SupportFunction
+    def advance(delta):
+        """Frame, spectrum, f and lambda_min of u + delta, u's frame and
+        spectrum plus delta's; checked in the order a SupportFunction
         build checks, then for u > 0."""
-        frame = g.frame + h * k.rows
-        spectrum = g.spectrum + h * k.spectrum
-        sg.warn_if_marginal(u.grid, spectrum)
-        f, lam = gb.curvature_invariants(frame)
+        frame = g.frame + sg.synthesize_frame(grid, delta)
+        spectrum = g.spectrum.copy()
+        spectrum[: L + 1] += delta
+        sg.warn_if_marginal(grid, spectrum)
+        f, lam_min = gb.curvature_invariants(frame)
         _check_positive(frame[0])
-        return frame, spectrum, f, lam
+        return frame, spectrum, f, lam_min
 
-    def stage(h, k):
-        frame, _, f, _ = advance(h, k)
-        return _increment(state, frame[0], f, 1.0 / f)
+    def stage(delta):
+        """F(u + delta) less F_u."""
+        frame, _, f, _ = advance(delta)
+        return _band(state, _velocity(state, frame[0], f, 1.0 / f)[0]) - F_u
 
     rejections = 0
     while True:
         if not dt > 0.0 or state.time + dt == state.time:
             raise StepFailure(None, dt, rejections)
+        with np.errstate(over="ignore", invalid="ignore"):  # an h far too long
+            phi = _phi(dt * lam_twice).reshape(L + 1, 6)
+        q, p1, b2, b4 = (dt * (phi @ _WEIGHTS)).T.reshape(column)
+        E = 1.0 + lam_col * q  # e^(z/2)
         try:
-            k2 = stage(0.5 * dt, k1)
-            k3 = stage(0.5 * dt, k2)
-            k4 = stage(dt, k3)
-            k = sg.ProjectedFrame(k1.rows + 2.0 * (k2.rows + k3.rows) + k4.rows,
-                                  k1.spectrum + 2.0 * (k2.spectrum + k3.spectrum) + k4.spectrum)
-            frame, spectrum, f, lam = advance(dt / 6.0, k)
-            break
+            # N_x less N_u is F_x - F_u - Lambda (x - u) = G_x - Lambda d_x
+            d_a = q * F_u
+            N_a = stage(d_a) - lam_col * d_a
+            d_b = q * (N_a + F_u)
+            N_b = stage(d_b) - lam_col * d_b
+            d_c = E * d_a + q * (2.0 * N_b + F_u)
+            N_c = stage(d_c) - lam_col * d_c
+            d_new = p1 * F_u + b2 * (N_a + N_b) + b4 * N_c
+            frame, spectrum, f, lam_min = advance(d_new)
         except (ConvexityLost, _PositivityLost) as e:
             rejections += 1
-            if rejections > MAX_HALVINGS:
+            if rejections > MAX_REJECTIONS:
                 raise StepFailure(getattr(e, "node", None), dt, rejections - 1) from None
             dt *= 0.5
-    K = 1.0 / f
-    rescale = state.cumulative_rescale
-    if state.kind == "normalized":
-        # gb.volume of the accepted body, then gb.scale's products in place
-        vol = sg.integrate(u.grid, frame[0] * f) / (u.dim + 1)
-        s = (sg.ball_volume(u.dim) / vol) ** (1.0 / (u.dim + 1))
-        sn = s**u.dim
-        frame *= s
-        spectrum *= s
-        f *= sn
-        K /= sn
-        lam *= s
-        rescale += abs(math.log(s))
-    u_new = gb.with_geometry(u, gb.BodyGeometry(frame=frame, f=f, K=K, lam_min=lam,
-                                                spectrum=spectrum))
+            continue
+        K = 1.0 / f
+        rescale = state.cumulative_rescale
+        if state.kind == "normalized":
+            # gb.volume of the new body, then gb.scale's products in place
+            vol = sg.integrate(grid, frame[0] * f) / (n + 1)
+            s = (sg.ball_volume(n) / vol) ** (1.0 / (n + 1))
+            sn = s**n
+            frame *= s
+            spectrum *= s
+            f *= sn
+            K /= sn
+            lam_min *= s
+            rescale += abs(math.log(s))
+        geometry = gb.BodyGeometry(frame=frame, f=f, K=K, lam_min=lam_min, spectrum=spectrum)
+        u_new = gb.with_geometry(u, geometry)
+        vel_new = _velocity_of(state, u_new, geometry)
+        estimate = b4 * (N_c + lam_col * d_new + (F_u - vel_new.band))
+        error = sg.band_rms(grid, estimate) / scale
+        if error <= 1.0:
+            break
+        rejections += 1
+        if rejections > MAX_REJECTIONS:
+            raise StepFailure(None, dt, rejections - 1)
+        dt *= max(SHRINK, SAFETY * error**-0.25)
+    factor = SAFETY * max(error, 1e-10) ** -_PI_EXPONENTS[0] * state.error_last ** _PI_EXPONENTS[1]
+    dt_next = dt * min(GROW if rejections == 0 else 1.0, max(SHRINK, factor))
+    if dt < proposal and rejections == 0:  # cut short by the request
+        dt_next = max(dt_next, proposal)
     return FlowState(
         kind=state.kind,
         alpha=state.alpha,
@@ -219,6 +362,9 @@ def step(state: FlowState, dt_request: float) -> FlowState:
         dt_last=dt,
         rejected_steps=state.rejected_steps + rejections,
         cumulative_rescale=rescale,
+        dt_next=dt_next,
+        error_last=max(error, 1e-4),
+        velocity=vel_new,
     )
 
 
@@ -228,8 +374,8 @@ class _PositivityLost(Exception):
 
 
 def _check_positive(values: NDArray) -> None:
-    i = int(values.argmin())
-    if values[i] <= 0.0:
+    i = int(values.argmin())  # the first NaN, if there is one
+    if not values[i] > 0.0:
         raise _PositivityLost(i)
 
 
@@ -355,7 +501,7 @@ class RunResult:
     """Sampled trajectory of one run.
 
     records/samples are aligned, and the last record describes the final
-    state unless a step failed; steps counts accepted RK4 steps."""
+    state unless a step failed; steps counts accepted steps."""
 
     records: list
     samples: list

@@ -24,11 +24,13 @@ associated Legendre values P_l^m, and their first and second colatitude
 derivatives, at the L+1 rings. The tables hold O(L^3) numbers and no
 node-by-coefficient matrix is formed.
 
-The circle's own transforms are FFTs of the 4L nodes. `project_frame`
-instead takes the circle as one ring of that Fourier stage: its
-analysis and synthesis are matmuls against cos/sin tables of the 2L+1
-retained frequencies, a few microseconds each at the bandlimits used
-here, where an FFT call takes about ten.
+The circle's own transforms are FFTs of the 4L nodes. The band
+transforms of a flow step, `band_spectrum` and `synthesize_frame`, instead
+take the circle as one ring of that Fourier stage: its analysis and
+synthesis are matmuls against cos/sin tables of the 2L+1 retained
+frequencies, a few microseconds each at the bandlimits used here, where
+an FFT call takes about ten. At L = 128 (258 table rows) the four
+synthesis matmuls are about half of a flow step's time.
 
 A frame is the curvature data of a field as one array of shape
 (3n, nodes) on S^n: row 0 holds the values u, the next 2n - 1 rows the
@@ -36,7 +38,7 @@ entries of A = hess u + u I in the orthonormal frame (A on the circle;
 A11, A12, A22 on the sphere), and the last n rows the gradient (u' on
 the circle; u_t, u_p / sin t on the sphere). A frame is linear in u, so
 frames add as arrays. This module owns the row order: `frame_of`,
-`project_frame` and, on the sphere, `frame_hessian` write frames;
+`synthesize_frame` and, on the sphere, `frame_hessian` write frames;
 `tensor_rows`, `frame_tensor` and `frame_gradient` read them.
 
 Grids are immutable after construction and safe to share across
@@ -69,6 +71,9 @@ __all__ = [
     "frame_gradient",
     "project_frame",
     "ProjectedFrame",
+    "band_spectrum",
+    "synthesize_frame",
+    "band_rms",
     "warn_if_marginal",
     "row_power",
     "evaluate_at",
@@ -136,8 +141,8 @@ class SphereGrid:
     dP/dtheta and d2P/dtheta2 at the rings laid out per order m, with the
     quadrature weights folded into an analysis copy of P (4 (L+1)^3
     numbers). All arrays of the L = 32 grid take about 1.4 MB. The
-    circle keeps cos/sin(k theta), k <= L, at its 4L nodes for
-    `project_frame`: one analysis table, and one synthesis table whose
+    circle keeps cos/sin(k theta), k <= L, at its 4L nodes for the band
+    transforms: one analysis table, and one synthesis table whose
     three blocks give the frame rows u, A = u'' + u and u' (4 (2L+2) 4L
     numbers, 70 kB at L = 16).
 
@@ -446,9 +451,8 @@ class FrameDerivatives(NamedTuple):
 class ProjectedFrame(NamedTuple):
     """Projection of a field onto the bandlimit (`project_frame`): its
     frame `rows` (module docstring) and its spectrum (layout of
-    FrameDerivatives). Both are linear in the field, so a flow step
-    advances a body's frame by whole-array sums of these instead of
-    transforming the new values."""
+    FrameDerivatives). Both are linear in the field, so a body's frame
+    and spectrum plus these are those of the body plus the field."""
 
     rows: NDArray
     spectrum: NDArray
@@ -569,37 +573,67 @@ def frame_hessian(grid: SphereGrid, values: NDArray) -> FrameDerivatives:
     return FrameDerivatives(hessian, gradient, spectrum)
 
 
+def band_spectrum(grid: SphereGrid, values: NDArray) -> NDArray:
+    """The spectrum of node values up to the bandlimit, from one analysis:
+    the first L+1 entries, frequencies or degrees 0..L, of the layout of
+    FrameDerivatives.spectrum, which on the sphere is all of it. The
+    first axis is the frequency or degree, so a multiplier per degree
+    is a column. On the circle the analysis is a matmul against the
+    cos/sin tables of the retained frequencies (see the module
+    docstring)."""
+    values = _check_values(grid, values)
+    if grid.dim == 2:
+        return _sphere_analysis(grid, values).swapaxes(0, 1)
+    # the tables' sums of cos/sin(k theta) over the nodes are not exactly
+    # 0, so a constant would pick up rounding in every mode; analysing
+    # values - values[0] keeps a constant (a ball's increment) exactly
+    # constant, as the FFT does
+    shift = values[0]
+    band = ((values - shift) @ grid._ring_dft).reshape(grid.bandlimit + 1, 2)
+    band[0, 0] += grid.node_count * shift
+    return band
+
+
+def synthesize_frame(grid: SphereGrid, band: NDArray) -> NDArray:
+    """The frame (module docstring) of the field with this `band_spectrum`,
+    from one synthesis. On the circle one matmul gives all three frame
+    rows, with the constant added apart: c has the rows (c, c, 0). On
+    the sphere the frame comes from the value, u_t, u_p and second
+    derivative rows of one synthesis."""
+    if grid.dim == 2:
+        return _sphere_frame(grid, *_sphere_synthesis(grid, band.swapaxes(0, 1),
+                                                      _VALUE_AND_FRAME))
+    frame = (band[1:].ravel() @ grid._frame_synthesis[2:]).reshape(3, grid.node_count)
+    frame[:2] += band[0, 0] / grid.node_count
+    return frame
+
+
+def band_rms(grid: SphereGrid, band: NDArray) -> float:
+    """Root mean square over the sphere of the field with this
+    `band_spectrum` (Parseval: the sphere's coefficients are orthonormal,
+    the circle's are those of the 4L-point rfft)."""
+    total = float(np.vdot(band, band))
+    if grid.dim == 2:
+        return math.sqrt(total / sphere_area(2))
+    # frequency k > 0 stands for both k and -k of the full spectrum
+    return math.sqrt(2.0 * total - band[0, 0] ** 2 - band[0, 1] ** 2) / grid.node_count
+
+
 def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
     """Projection of node values onto the bandlimit as a frame, with its
-    spectrum, from one analysis and one synthesis.
+    spectrum, from one analysis and one synthesis (`band_spectrum`, then
+    `synthesize_frame`).
 
     Equals `frame_of` the projection (`project`) and its `frame_hessian`,
     up to rounding, without the tail check: a projection has no energy
-    above the bandlimit. On the circle both transforms are matmuls
-    against the cos/sin tables of the retained frequencies (see the module
-    docstring), and one synthesis matmul gives all three frame rows. On
-    the sphere the frame comes from the value, u_t, u_p and second
-    derivative rows of one synthesis.
+    above the bandlimit.
     """
-    values = _check_values(grid, values)
+    band = band_spectrum(grid, values)
+    spectrum = band
     if grid.dim == 1:
-        # the tables' sums of cos/sin(k theta) over the nodes are not
-        # exactly 0, so a constant would pick up rounding in every mode;
-        # analysing values - values[0] keeps a constant (a ball's
-        # increment) exactly constant, as the FFT does. A constant c has
-        # the frame rows (c, c, 0).
-        L, M = grid.bandlimit, grid.node_count
-        shift = values[0]
-        sums = (values - shift) @ grid._ring_dft
-        frame = (sums @ grid._frame_synthesis).reshape(3, M)
-        frame[:2] += shift
-        spectrum = np.zeros((2 * L + 1, 2))
-        spectrum[: L + 1] = sums.reshape(L + 1, 2)
-        spectrum[0, 0] += M * shift
-        return ProjectedFrame(frame, spectrum)
-    pairs = _sphere_analysis(grid, values)
-    frame = _sphere_frame(grid, *_sphere_synthesis(grid, pairs, _VALUE_AND_FRAME))
-    return ProjectedFrame(frame, pairs.swapaxes(0, 1))
+        spectrum = np.zeros((2 * grid.bandlimit + 1, 2))
+        spectrum[: grid.bandlimit + 1] = band
+    return ProjectedFrame(synthesize_frame(grid, band), spectrum)
 
 
 def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,

@@ -67,9 +67,12 @@ class TestRhs:
 class TestStep:
     def test_dt_honors_stability_and_request(self):
         st = make_state(gb.ball(circle(), 1.0), "normalized", 1.0)
-        cap = 1.5 / (16 * 17)  # unit circle: K = lam_min = eta = 1, so D_max = 1
-        assert gf.step(st, 1e9).dt_last == pytest.approx(cap)
+        guess = 1.5 / (16 * 17)  # unit circle: K = lam_min = eta = 1, so D_max = 1
+        assert gf.step(st, 1e9).dt_last == pytest.approx(guess)
         assert gf.step(st, 1e-5).dt_last == pytest.approx(1e-5)
+        # a state's proposal replaces the guess, and the request still caps it
+        assert gf.step(replace(st, dt_next=0.3), 1e9).dt_last == 0.3
+        assert gf.step(replace(st, dt_next=0.3), 0.1).dt_last == 0.1
         with pytest.raises(ValueError):
             gf.step(st, -0.1)
 
@@ -82,6 +85,18 @@ class TestStep:
         assert st.rejected_steps == 0
         assert st.cumulative_rescale <= 1e-12
 
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_unit_ball_is_an_exact_fixed_point(self, dim, L):
+        # F(u) = 0 gives zero increments at any h: the error estimate is
+        # 0, the controller grows h fivefold a step to the request, and the
+        # ball stays put to rounding
+        st = make_state(gb.ball(sg.build_grid(dim, L), 1.0), "normalized", 0.5)
+        for _ in range(20):
+            st = gf.step(st, 0.5)
+        assert st.rejected_steps == 0 and st.dt_last == 0.5
+        assert np.abs(st.u.values - 1.0).max() <= 1e-14
+        assert st.cumulative_rescale <= 1e-14
+
     def test_step_that_cannot_advance_the_clock_fails(self):
         st = gf.FlowState(kind="unnormalized", alpha=1.0, time=1e18,
                           u=gb.ball(circle(), 1.0))
@@ -92,31 +107,121 @@ class TestStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("grid,axes", [(circle(), (1.4, 0.8)),
                                            (sphere(), (1.4, 1.0, 0.8))], ids=["n1", "n2"])
-    def test_step_failure_after_twelve_halvings(self, monkeypatch, grid, axes):
-        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 1e12)
-        st = make_state(gb.ellipse(grid, axes), "unnormalized", 1.0)
+    def test_step_failure_after_twelve_halvings(self, grid, axes):
+        # a proposal of 1e6 loses convexity or positivity at every halving
+        st = replace(make_state(gb.ellipse(grid, axes), "unnormalized", 1.0), dt_next=1e6)
         with pytest.raises(StepFailure) as exc:
             gf.step(st, 1e6)
         assert exc.value.rejections == 12
         assert exc.value.node is not None
 
+    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+    def test_fourth_order_at_fixed_h(self, dim, L, monkeypatch):
+        monkeypatch.setattr(gf, "TOLERANCE", 1.0)  # no attempt is rejected
+
+        def values_at(T, steps):
+            st = make_state(gb.random_body(2, dim, L, 0.1), "normalized", 1.0)
+            for _ in range(steps):
+                st = gf.step(replace(st, dt_next=T / steps), T / steps)
+            assert st.rejected_steps == 0
+            return st.u.values
+
+        ref = values_at(0.2, 256)
+        errors = [np.abs(values_at(0.2, steps) - ref).max() for steps in (4, 8, 16)]
+        assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0
+
+    def test_same_bytes_after_an_unrelated_run(self):
+        u0 = gb.random_body(7, 1, 16, 0.1)
+        first = gf.run(u0, "normalized", 1.0, 0.3, sample_every=0.1)
+        gf.run(gb.random_body(8, 2, 8, 0.1), "normalized", 2.0, 0.2)
+        again = gf.run(u0, "normalized", 1.0, 0.3, sample_every=0.1)
+        assert again.steps == first.steps
+        assert again.final_state.u.values.tobytes() == first.final_state.u.values.tobytes()
+        assert [r.soliton_res for r in again.records] == [r.soliton_res for r in first.records]
+
+
+# Workload seed 1's sweep-n1 bodies (perfbench/workloads.py: seeds from
+# 635024, 4 / 2 / 1 of them at alpha 0.5 / 1 / 2) and the error at t = 0.5
+# of each normalized run by the RK4 step at its stability cap, 1.5 /
+# (L(L+1) D_max), which this step replaced: 568 steps in all.
+SWEEP_RK4_ERRORS = {(0.5, 635024): 3.92e-11, (0.5, 635025): 2.81e-11,
+                    (0.5, 635026): 6.69e-11, (0.5, 635027): 5.46e-11,
+                    (1.0, 635024): 8.98e-12, (1.0, 635025): 6.02e-12,
+                    (2.0, 635024): 1.93e-12}
+
+
+def test_sweep_bodies_as_accurate_as_rk4_at_its_cap(monkeypatch):
+    """The worst error at t = 0.5 over the sweep-n1 bodies, against 256
+    fixed steps, is no larger than the RK4 step's worst, in fewer steps."""
+    errors, steps = {}, 0
+    for (alpha, seed) in SWEEP_RK4_ERRORS:
+        u0 = gb.normalize_volume(gb.random_body(seed, 1, 16, 0.1))
+        rr = gf.run(u0, "normalized", alpha, 0.5, stop_residual=None)
+        steps += rr.steps
+        ref = make_state(rr.samples[0][1], "normalized", alpha)
+        with monkeypatch.context() as m:
+            m.setattr(gf, "TOLERANCE", 1.0)
+            for _ in range(256):
+                ref = gf.step(replace(ref, dt_next=0.5 / 256), 0.5 / 256)
+        assert ref.time == pytest.approx(0.5) and ref.rejected_steps == 0
+        errors[alpha, seed] = np.abs(rr.final_state.u.values - ref.u.values).max()
+    assert max(errors.values()) <= max(SWEEP_RK4_ERRORS.values())
+    assert steps <= 260
+
+
+def phi_contour(z):
+    """phi_1, phi_2, phi_3 of the real array z as means over 64 points of
+    the circle of radius 1 about each z (Kassam-Trefethen)."""
+    w = z[:, None] + np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    e = np.exp(w)
+    return [p.mean(axis=1).real
+            for p in ((e - 1) / w, (e - 1 - w) / w**2, (e - 1 - w - w * w / 2) / w**3)]
+
+
+def diffusivity(state, u):
+    """D = dF/d(lambda_min A) of the state's flow at u, per node."""
+    g, a = gb.curvature_data(u), state.alpha
+    if state.kind == "expanding":
+        return u.values ** (1 + 1 / a) * g.f / g.lam_min
+    D = abs(a) * g.K**a / g.lam_min
+    return D / sg.average(u.grid, g.K ** (a - 1)) if state.kind == "normalized" else D
+
 
 def reference_step(state, dt):
-    """One RK4 step in node space: every stage a validated SupportFunction
-    and its rhs, the accepted body rebuilt after the volume rescale."""
-    u = state.u
+    """One ETDRK4 (Cox-Matthews) step in node space: every stage a
+    validated SupportFunction and its rhs, Lambda and the phi functions
+    applied through `analyze`/`synthesize`, the content of u above the
+    bandlimit carried unchanged, and the new body rebuilt after the
+    volume rescale."""
+    u, grid, n = state.u, state.u.grid, state.u.dim
+    D = diffusivity(state, u)
+    lam = (0.5 * (D.min() + D.max()) * (n - grid.degrees * (grid.degrees + n - 1))
+           + (state.kind == "normalized"))
+    z = dt * lam
+    p1, p2, p3 = phi_contour(z)
+    q = 0.5 * dt * phi_contour(0.5 * z)[0]
 
-    def at(h, k):
-        return replace(state, u=gb.SupportFunction(u.grid, u.values + h * k, u.basepoint))
+    def mult(m, values):
+        return sg.synthesize(grid, m * sg.analyze(grid, values))
 
-    k1 = gf.rhs(state)
-    k2 = gf.rhs(at(0.5 * dt, k1))
-    k3 = gf.rhs(at(0.5 * dt, k2))
-    k4 = gf.rhs(at(dt, k3))
-    new = at(dt / 6.0, k1 + 2.0 * k2 + 2.0 * k3 + k4).u
+    def N(values):
+        v = gf.rhs(replace(state, u=gb.SupportFunction(grid, values, u.basepoint)))
+        return v - mult(lam, values)
+
+    rest = u.values - sg.project(grid, u.values)
+    N_u = N(u.values)
+    a = rest + mult(np.exp(0.5 * z), u.values) + mult(q, N_u)
+    N_a = N(a)
+    b = rest + mult(np.exp(0.5 * z), u.values) + mult(q, N_a)
+    N_b = N(b)
+    c = rest + mult(np.exp(0.5 * z), a) + mult(q, 2.0 * N_b - N_u)
+    N_c = N(c)
+    new = (rest + mult(np.exp(z), u.values) + mult(dt * (p1 - 3 * p2 + 4 * p3), N_u)
+           + mult(dt * (2 * p2 - 4 * p3), N_a + N_b) + mult(dt * (4 * p3 - p2), N_c))
+    new = gb.SupportFunction(grid, new, u.basepoint)
     if state.kind == "normalized":
-        s = (sg.ball_volume(u.dim) / gb.volume(new)) ** (1.0 / (u.dim + 1))
-        new = gb.SupportFunction(u.grid, s * new.values, u.basepoint)
+        s = (sg.ball_volume(n) / gb.volume(new)) ** (1.0 / (n + 1))
+        new = gb.SupportFunction(grid, s * new.values, u.basepoint)
     return new
 
 
@@ -124,11 +229,15 @@ def rebuild_geometry(u, values):
     return gb.curvature_data(gb.SupportFunction(u.grid, values, u.basepoint))
 
 
-# Ellipses whose first normalized step at alpha 1 takes exactly one
-# halving when SPECTRAL_FACTOR is raised to `factor`.
-ONE_HALVING = pytest.mark.parametrize(
-    "grid,axes,factor", [(circle(), (1.4, 0.8), 80.0), (sphere(), (1.4, 1.0, 0.8), 30.0)],
-    ids=["n1", "n2"])
+# Ellipses whose normalized step at alpha 1 from a proposal of 2e-3
+# rejects exactly one attempt, on its error estimate.
+ONE_REJECTION = pytest.mark.parametrize(
+    "grid,axes", [(circle(), (1.4, 0.8)), (sphere(), (1.4, 1.0, 0.8))], ids=["n1", "n2"])
+
+
+def ellipse_state(grid, axes, proposal=0.0):
+    st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
+    return replace(st, dt_next=proposal)
 
 
 class TestStagesAgainstReference:
@@ -144,10 +253,9 @@ class TestStagesAgainstReference:
         assert np.abs(g.f - g_ref.f).max() <= 1e-12 * np.abs(g_ref.f).max()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @ONE_HALVING
-    def test_a_rejected_attempt_leaves_no_trace(self, monkeypatch, grid, axes, factor):
-        st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
-        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor)
+    @ONE_REJECTION
+    def test_a_rejected_attempt_leaves_no_trace(self, grid, axes):
+        st = ellipse_state(grid, axes, 2e-3)
         new = gf.step(st, 1e9)
         assert new.rejected_steps == 1
         ref = reference_step(st, new.dt_last)
@@ -155,13 +263,29 @@ class TestStagesAgainstReference:
         g = gb.curvature_data(new.u)
         fresh = rebuild_geometry(new.u, new.u.values)
         assert np.abs(g.f - fresh.f).max() <= 1e-12 * np.abs(fresh.f).max()
-        # the halved step is the clean step at half the factor, bit for bit
-        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor / 2.0)
-        clean = gf.step(st, 1e9)
+        # the retried attempt is the clean step at its h, bit for bit
+        clean = gf.step(replace(st, dt_next=new.dt_last), 1e9)
         assert clean.rejected_steps == 0 and clean.dt_last == new.dt_last
         g_clean = gb.curvature_data(clean.u)
         for name in ("frame", "f", "K", "lam_min", "spectrum"):
             assert np.array_equal(getattr(g, name), getattr(g_clean, name)), name
+        assert np.array_equal(new.velocity.band, clean.velocity.band)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @ONE_REJECTION
+    def test_the_next_step_reuses_the_last_velocity(self, grid, axes, monkeypatch):
+        st = gf.step(ellipse_state(grid, axes), 1e9)
+        assert st.velocity.body is st.u
+        calls = []
+        real = sg.band_spectrum
+        monkeypatch.setattr(sg, "band_spectrum", lambda *a: calls.append(1) or real(*a))
+        # a step of that state analyses stages a, b, c and the new body
+        gf.step(replace(st, dt_next=1e-5), 1e9)
+        assert len(calls) == 4
+        # a state whose velocity is another body's evaluates its own first
+        other = gb.normalize_volume(gb.ellipse(grid, axes))
+        gf.step(replace(st, u=other, dt_next=1e-5), 1e9)
+        assert len(calls) == 9
 
     def test_a_stage_warns_on_a_marginal_body(self):
         # the top mode cos(16 theta) puts 2.5e-7 of the energy in the tail
@@ -170,10 +294,11 @@ class TestStagesAgainstReference:
             st = make_state(gb.SupportFunction(g, 1.0 + 1e-3 * np.cos(16 * g.thetas)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            gf.step(st, 1e9)
+            new = gf.step(st, 1e-4)
+        assert new.rejected_steps == 0
         tail = [w for w in caught if issubclass(w.category, RuntimeWarning)
                 and "marginally resolved" in str(w.message)]
-        assert len(tail) == 4  # stages 2, 3 and 4, then the accepted body
+        assert len(tail) == 4  # stages a, b and c, then the new body
 
 
 class TestAdvancedGeometry:
@@ -193,7 +318,8 @@ class TestAdvancedGeometry:
         # the largest support value the run held sets the scale of its rounding
         s = max(np.abs(u0.values).max(), np.abs(u.values).max())
         assert np.abs(g.gradient - fresh.gradient).max() <= 1e-12 * s
-        assert np.abs(g.spectrum - fresh.spectrum).max() <= 1e-12 * np.abs(fresh.spectrum).max()
+        top = max(np.abs(gb.curvature_data(u0).spectrum).max(), np.abs(fresh.spectrum).max())
+        assert np.abs(g.spectrum - fresh.spectrum).max() <= 1e-12 * top
         # A and f match a rebuild of the bandlimited part of the values to
         # 1e-12. A rebuild of the values themselves also differentiates the
         # rounding that the additions leave above the bandlimit (frequencies
@@ -206,9 +332,9 @@ class TestAdvancedGeometry:
             assert np.abs(cached - getattr(fresh, name)).max() <= 4e-12 * scale
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @ONE_HALVING
-    def test_a_step_builds_no_body(self, monkeypatch, grid, axes, factor):
-        st = make_state(gb.normalize_volume(gb.ellipse(grid, axes)), "normalized", 1.0)
+    @ONE_REJECTION
+    def test_a_step_builds_no_body(self, monkeypatch, grid, axes):
+        clean, rejecting = ellipse_state(grid, axes, 1e-4), ellipse_state(grid, axes, 2e-3)
         builds = []
         real = gb.SupportFunction.__post_init__
 
@@ -217,39 +343,47 @@ class TestAdvancedGeometry:
             real(self)
 
         monkeypatch.setattr(gb.SupportFunction, "__post_init__", counting)
-        assert gf.step(st, 1e9).rejected_steps == 0
-        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", factor)  # one halving
-        assert gf.step(st, 1e9).rejected_steps == 1
+        assert gf.step(clean, 1e9).rejected_steps == 0
+        assert gf.step(rejecting, 1e9).rejected_steps == 1
         assert builds == []
 
 
 class TestStabilityCap:
+    """The RK4 stability cap 1.5 / (L(L+1) D_max) is only the first step's
+    guess: the linear part D_bar (Delta + n) + 1 is taken exactly, so steps
+    far beyond it are stable."""
+
     @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 16)])
     @pytest.mark.parametrize("alpha", [0.5, 2.0])
     def test_cap_scales_with_spectral_radius(self, dim, L, alpha):
-        # unit ball: K = lam_min = 1, so D_max = alpha
-        st = make_state(gb.ball(sg.build_grid(dim, L), 1.0), "unnormalized", alpha)
+        # unit ball: K = lam_min = eta = 1, so D_max = alpha
+        st = make_state(gb.ball(sg.build_grid(dim, L), 1.0), "normalized", alpha)
         assert gf.step(st, 1e9).dt_last == pytest.approx(1.5 / (L * (L + 1) * alpha),
                                                          rel=1e-10)
 
     @staticmethod
-    def _top_mode_growth(steps=300):
+    def _top_mode(steps, dt):
         g = circle(16)
         u = gb.SupportFunction(g, 1.0 + 1e-6 * np.cos(16 * g.thetas))
         st = make_state(u, "normalized", 1.0)
         a0 = abs(sg.analyze(g, st.u.values)[16])
         for _ in range(steps):
-            st = gf.step(st, 1e9)
+            st = gf.step(replace(st, dt_next=dt), dt)
+            assert st.dt_last == dt and st.rejected_steps == 0
         return abs(sg.analyze(g, st.u.values)[16]) / a0
 
     def test_top_mode_decays_at_cap(self):
-        assert self._top_mode_growth() <= 1.0
+        assert self._top_mode(300, 1.5 / (16 * 17)) <= 1.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_top_mode_grows_beyond_linear_limit(self, monkeypatch):
-        # 3.2 exceeds the RK4 limit 2.785 L/(L-1) = 2.97 at L = 16
-        monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 3.2)
-        assert self._top_mode_growth() > 10.0
+    def test_top_mode_decays_far_beyond_the_rk4_limit(self):
+        # 10x the RK4 limit 2.785 L/(L-1) / (L(L+1)) at L = 16
+        assert self._top_mode(300, 10 * 2.97 / (16 * 17)) <= 1.0
+
+    def test_top_mode_decays_at_its_linear_rate(self):
+        # about the ball the degree-16 mode of the normalized flow decays
+        # at 1 - alpha (16^2 - 1); one step of 0.02 takes e^(-5.08) exactly
+        # up to the perturbation's own nonlinearity
+        assert self._top_mode(1, 0.02) == pytest.approx(math.exp(0.02 * (1 - 255)), rel=1e-4)
 
 
 class TestShrinkingCircleOracle:
@@ -440,7 +574,9 @@ class TestStops:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_step_failure_attaches_partial(self, monkeypatch):
+        # a first guess of dt = 1 is rejected, and no rejection is allowed
         monkeypatch.setattr(gf, "SPECTRAL_FACTOR", 1e12)
+        monkeypatch.setattr(gf, "MAX_REJECTIONS", 0)
         u0 = gb.ellipse(circle(), (1.4, 0.8))
         with pytest.raises(StepFailure) as exc:
             gf.run(u0, "unnormalized", 1.0, 1.0)
