@@ -99,19 +99,18 @@ DEFAULT_STOP_RESIDUAL = {1: 1e-8, 2: 1e-6}
 # err^-0.175 * err_last^0.1, the factor held to [SHRINK, GROW].
 SAFETY, SHRINK, GROW = 0.9, 0.2, 5.0
 _PI_EXPONENTS = (0.7 / 4.0, 0.4 / 4.0)
-# Taylor coefficients 1/(j+k)! of phi_k, k = 1, 2, 3 (columns), to below
-# an ulp at |x| = 1/2.
-_PHI_TAYLOR = np.array([[1.0 / math.factorial(j + k) for k in (1, 2, 3)] for j in range(16)])
-# The step's weights per degree (see `step`) as combinations, each times
-# h, of phi_1, phi_2, phi_3 at z and at z/2 (the rows): the columns are
-# phi_1'/2, phi_1, b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2.
+# Taylor coefficients of phi_1(x/2), phi_1, phi_2, phi_3 (columns; phi_k
+# of x is sum_j x^j / (j+k)!), to below an ulp at |x| = 1.
+_PHI_TAYLOR = np.array([[0.5**j / math.factorial(j + 1)]
+                        + [1.0 / math.factorial(j + k) for k in (1, 2, 3)] for j in range(20)])
+# The step's weights per degree (see `step`), each times h, as
+# combinations of phi_1(z/2), phi_1, phi_2, phi_3 (the rows): the columns
+# are phi_1(z/2)/2, phi_1, b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2.
 _WEIGHTS = np.array([
+    [0.5, 0.0, 0.0, 0.0],
     [0.0, 1.0, 0.0, 0.0],
     [0.0, 0.0, 2.0, -1.0],
     [0.0, 0.0, -4.0, 4.0],
-    [0.5, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 0.0],
 ])
 
 
@@ -206,16 +205,21 @@ def _laplace_plus_n(n: int, L: int) -> NDArray:
 
 
 def _phi(x: NDArray) -> NDArray:
-    """phi_1, phi_2, phi_3 of x (phi_0 = e^x, phi_k+1 = (phi_k - 1/k!)/x)
-    as the columns of one array, each to a few ulp: by that recurrence
-    from expm1 where |x| >= 1/2, else by their Taylor series."""
-    small = np.abs(x) < 0.5
+    """phi_1(x/2), phi_1, phi_2, phi_3 of x (phi_0 = e^x, phi_k+1 =
+    (phi_k - 1/k!)/x) as the columns of one array, each to a few ulp:
+    where |x| >= 1 from e = expm1(x/2), with e^x - 1 = e (e + 2), and
+    that recurrence; else by their Taylor series."""
+    small = np.abs(x) < 1.0
     y = np.where(small, 1.0, x)
-    b1 = np.expm1(y) / y
-    b2 = (b1 - 1.0) / y
-    closed = np.stack([b1, b2, (b2 - 0.5) / y], axis=1)
-    taylor = np.vander(x, len(_PHI_TAYLOR), increasing=True) @ _PHI_TAYLOR
-    return np.where(small[:, None], taylor, closed)
+    half = np.expm1(0.5 * y)
+    out = np.empty((4, len(x)))
+    out[0] = 2.0 * half / y
+    out[1] = half * (half + 2.0) / y
+    out[2] = (out[1] - 1.0) / y
+    out[3] = (out[2] - 0.5) / y
+    out = out.T
+    out[small] = np.vander(x[small], len(_PHI_TAYLOR), increasing=True) @ _PHI_TAYLOR
+    return out
 
 
 def step(state: FlowState, dt_request: float) -> FlowState:
@@ -277,7 +281,6 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     if vel is None or vel.body is not u:
         vel = _velocity_of(state, u, g)
     lam = 0.5 * (vel.d_min + vel.d_max) * _laplace_plus_n(n, L) + (state.kind == "normalized")
-    lam_twice = np.stack([lam, 0.5 * lam], axis=1).ravel()  # h lam_twice: z, z/2 per degree
     column = (_WEIGHTS.shape[1], L + 1) + (1,) * n  # per-degree columns of a band
     lam_col = lam.reshape(column[1:])
     proposal = state.dt_next or SPECTRAL_FACTOR / (L * (L + 1) * vel.d_max)
@@ -307,11 +310,11 @@ def step(state: FlowState, dt_request: float) -> FlowState:
         if not dt > 0.0 or state.time + dt == state.time:
             raise StepFailure(None, dt, rejections)
         with np.errstate(over="ignore", invalid="ignore"):  # an h far too long
-            phi = _phi(dt * lam_twice).reshape(L + 1, 6)
-        q, p1, b2, b4 = (dt * (phi @ _WEIGHTS)).T.reshape(column)
+            weights = dt * (_phi(dt * lam) @ _WEIGHTS)
+        q, p1, b2, b4 = weights.T.reshape(column)
         E = 1.0 + lam_col * q  # e^(z/2)
         try:
-            # N_x less N_u is F_x - F_u - Lambda (x - u) = G_x - Lambda d_x
+            # stage(d) is F_x - F_u at x = u + d, so N_x = stage(d) - Lambda d
             d_a = q * F_u
             N_a = stage(d_a) - lam_col * d_a
             d_b = q * (N_a + F_u)

@@ -178,6 +178,14 @@ def phi_contour(z):
             for p in ((e - 1) / w, (e - 1 - w) / w**2, (e - 1 - w - w * w / 2) / w**3)]
 
 
+def test_phi_matches_the_contour_mean():
+    # both branches, their boundary |z| = 1, zero and the steep decay of
+    # the top degrees
+    z = np.concatenate([np.linspace(-40.0, 3.0, 87), [0.0, 1e-12, -1.0, 1.0, -1e4]])
+    expected = np.stack([phi_contour(0.5 * z)[0]] + phi_contour(z), axis=1)
+    assert_allclose(gf._phi(z), expected, rtol=1e-13)
+
+
 def diffusivity(state, u):
     """D = dF/d(lambda_min A) of the state's flow at u, per node."""
     g, a = gb.curvature_data(u), state.alpha

@@ -179,6 +179,23 @@ def test_project_frame_gradient_is_that_of_the_projection(dim, L):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
+def test_band_rms_is_the_rms_of_the_projection(dim, L):
+    grid = sg.build_grid(dim, L)
+    u = random_field(grid, seed=9) + 0.3 * np.exp(2.0 * grid.nodes[:, 0])
+    band = sg.band_spectrum(grid, u)
+    assert band.shape[0] == L + 1
+    p = sg.project(grid, u)
+    assert sg.band_rms(grid, band) == pytest.approx(
+        np.sqrt(sg.average(grid, p * p)), rel=1e-14)
+    # a band is linear: the frame of a combination is the combination
+    v = random_field(grid, seed=10)
+    w = sg.synthesize_frame(grid, 2.0 * band - 3.0 * sg.band_spectrum(grid, v))
+    expected = 2.0 * sg.synthesize_frame(grid, band) - 3.0 * sg.project_frame(grid, v).rows
+    assert_allclose(w, expected, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("dim", [1, 2])
 def test_laplacian_integrates_to_zero(dim):
     grid = sg.build_grid(dim, 10)
