@@ -71,8 +71,8 @@ class BodyGeometry:
     `sphere_grid.FrameDerivatives`), so that a flow stage u + h k can check
     its resolution without a transform of its own. frame and spectrum are
     linear in u: a flow step gives its new body these two as the old
-    body's plus the step's combined increments
-    (`sphere_grid.ProjectedFrame`), with f, K and lam_min from that A.
+    body's plus those of the step's increment (`sphere_grid.band_spectrum`,
+    `sphere_grid.synthesize_frame`), with f, K and lam_min from that A.
     """
 
     frame: NDArray

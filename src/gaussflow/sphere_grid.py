@@ -69,8 +69,6 @@ __all__ = [
     "tensor_rows",
     "frame_tensor",
     "frame_gradient",
-    "project_frame",
-    "ProjectedFrame",
     "band_spectrum",
     "synthesize_frame",
     "band_rms",
@@ -448,16 +446,6 @@ class FrameDerivatives(NamedTuple):
     spectrum: NDArray
 
 
-class ProjectedFrame(NamedTuple):
-    """Projection of a field onto the bandlimit (`project_frame`): its
-    frame `rows` (module docstring) and its spectrum (layout of
-    FrameDerivatives). Both are linear in the field, so a body's frame
-    and spectrum plus these are those of the body plus the field."""
-
-    rows: NDArray
-    spectrum: NDArray
-
-
 def warn_if_marginal(grid: SphereGrid, spectrum: NDArray) -> None:
     """Warn with a fixed RuntimeWarning when the top 10% of retained modes
     carry more than TAIL_WARN_THRESHOLD of the energy of `spectrum`
@@ -619,23 +607,6 @@ def band_rms(grid: SphereGrid, band: NDArray) -> float:
         return math.sqrt(total / sphere_area(2))
     # frequency k > 0 stands for both k and -k of the full spectrum
     return math.sqrt(2.0 * total - band[0, 0] ** 2 - band[0, 1] ** 2) / grid.node_count
-
-
-def project_frame(grid: SphereGrid, values: NDArray) -> ProjectedFrame:
-    """Projection of node values onto the bandlimit as a frame, with its
-    spectrum, from one analysis and one synthesis (`band_spectrum`, then
-    `synthesize_frame`).
-
-    Equals `frame_of` the projection (`project`) and its `frame_hessian`,
-    up to rounding, without the tail check: a projection has no energy
-    above the bandlimit.
-    """
-    band = band_spectrum(grid, values)
-    spectrum = band
-    if grid.dim == 1:
-        spectrum = np.zeros((2 * grid.bandlimit + 1, 2))
-        spectrum[: grid.bandlimit + 1] = band
-    return ProjectedFrame(synthesize_frame(grid, band), spectrum)
 
 
 def evaluate_at(grid: SphereGrid, values: NDArray, thetas: NDArray,
