@@ -22,10 +22,10 @@ split into the stiff diffusion D_bar (Delta + n) (+1 for the normalized
 kind), with the diffusivity D frozen at its node mid-range D_bar, which
 the step takes exactly, and a remainder taken to fourth order. So
 accuracy alone sets dt: a PI controller keeps an embedded third-order
-error estimate within TOLERANCE[n], and the old RK4 stability cap
-1.5 / (L(L+1) D_max) survives only as the first step's guess. Near the
-ball, where every RK4 step was set by that cap, steps grow to whatever
-the sampling allows. A step whose stage or new body loses uniform
+error estimate within TOLERANCE[n]. The stability limit of explicit
+schemes, about 1.5 / (L(L+1) D_max), is only the first step's guess;
+near the ball steps grow far beyond it, to whatever the sampling
+allows. A step whose stage or new body loses uniform
 convexity or positivity is rejected and retried at half the step.
 
 A body caches its values, curvature tensor A and gradient as one frame
@@ -93,8 +93,8 @@ DEFAULT_STOP_RESIDUAL = {1: 1e-8, 2: 1e-6}
 # body (at most 4.1e-10 against 5.7e-10 to 3.1e-8); CHANGES.md has the
 # per-body figures.
 TOLERANCE = {1: 1e-10, 2: 1e-8}
-# The first step tries the old RK4 stability cap SPECTRAL_FACTOR /
-# (L(L+1) D_max); the controller proposes every later h.
+# The first step tries the explicit (RK4) stability limit SPECTRAL_FACTOR
+# / (L(L+1) D_max); the controller proposes every later h.
 SPECTRAL_FACTOR = 1.5
 MAX_REJECTIONS = 12
 MAX_BRACKET_STEPS = 100_000
@@ -267,7 +267,7 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     the RMS of u, is the scaled error. Above 1 the attempt is rejected
     and h cut by the controller; else the step is taken and the PI
     controller proposes the next h (FlowState.dt_next). The first step of
-    a state without a proposal tries the old RK4 stability cap
+    a state without a proposal tries the explicit (RK4) stability limit
     SPECTRAL_FACTOR / (L(L+1) max D).
 
     An attempt whose stage or new body loses uniform convexity or
