@@ -156,10 +156,10 @@ class FlowState:
             raise ValueError("alpha must be nonzero")
 
 
-def _velocity(state: FlowState, values: NDArray, f: NDArray,
-              K: NDArray) -> tuple[NDArray, float, NDArray, float]:
+def _velocity(state: FlowState, values: NDArray,
+              f: NDArray) -> tuple[NDArray, float, NDArray, float]:
     """du/dt on the nodes, before projection, of the body with support
-    values `values`, surface-area density f and curvature K = 1/f under
+    values `values` and surface-area density f (curvature K = 1/f) under
     the state's flow, with the factors c, w and the denominator den of
     its diffusivity D = c w / (lambda_min den); the one formula of `rhs`
     and of the step's stages."""
@@ -169,10 +169,10 @@ def _velocity(state: FlowState, values: NDArray, f: NDArray,
             raise ValueError("expanding flow needs positive support values")
         v = values ** (1.0 + 1.0 / alpha) * f
         return v, 1.0, v, 1.0
-    Ka = K**alpha
+    Ka = f**-alpha
     if state.kind == "unnormalized":
         return -Ka, abs(alpha), Ka, 1.0
-    eta = sg.average(state.u.grid, K ** (alpha - 1.0))
+    eta = sg.average(state.u.grid, Ka * f)  # avg K^(alpha-1)
     return values - Ka / eta, abs(alpha), Ka, eta
 
 
@@ -186,7 +186,7 @@ def _band(state: FlowState, v: NDArray) -> NDArray:
 
 
 def _velocity_of(state: FlowState, body: SupportFunction, g: gb.BodyGeometry) -> Velocity:
-    v, c, w, den = _velocity(state, g.frame[0], g.f, g.K)
+    v, c, w, den = _velocity(state, g.frame[0], g.f)
     d = w / g.lam_min
     return Velocity(body, _band(state, v), c / den * float(d.min()), c / den * float(d.max()))
 
@@ -195,7 +195,7 @@ def rhs(state: FlowState) -> NDArray:
     """Right-hand side du/dt on the nodes, re-projected to the bandlimit
     (for the normalized kind, less its degree-1 part)."""
     g = curvature_data(state.u)
-    band = _band(state, _velocity(state, state.u.values, g.f, g.K)[0])
+    band = _band(state, _velocity(state, state.u.values, g.f)[0])
     return sg.synthesize_frame(state.u.grid, band)[0]
 
 
@@ -307,7 +307,7 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     def stage(delta):
         """F(u + delta) less F_u."""
         frame, _, f, _ = advance(delta)
-        return _band(state, _velocity(state, frame[0], f, 1.0 / f)[0]) - F_u
+        return _band(state, _velocity(state, frame[0], f)[0]) - F_u
 
     rejections = 0
     while True:

@@ -121,6 +121,8 @@ class SphereGrid:
         Maximum retained frequency / harmonic degree L.
     nodes : ndarray, shape (node_count, dim+1)
         Unit direction vectors.
+    node_count : int
+        Number of nodes.
     weights : ndarray, shape (node_count,)
         Positive quadrature weights summing to the sphere area.
     antipode : ndarray of int, shape (node_count,)
@@ -157,6 +159,7 @@ class SphereGrid:
             self._init_circle(bandlimit)
         else:
             self._init_sphere(bandlimit)
+        self.node_count = self.nodes.shape[0]
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -235,10 +238,6 @@ class SphereGrid:
         self._ring_synthesis = np.ascontiguousarray(tables.transpose(0, 2, 3, 1))
 
     # -- small conveniences -------------------------------------------
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SphereGrid(dim={self.dim}, bandlimit={self.bandlimit}, nodes={self.node_count})"
