@@ -250,7 +250,10 @@ def step(state: FlowState, dt_request: float) -> FlowState:
         new - u = h (phi_1 F_u + b2 (N_a + N_b) + b4 N_c)
 
     with b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2 (`_WEIGHTS`); u
-    itself drops out, so a body with F = 0 is kept exactly. Each
+    itself drops out, so a body with F = 0 is kept exactly. For the
+    normalized kind F is the projected velocity P(v) of the module
+    docstring: every velocity band has its degree-1 coefficients zeroed,
+    and Lambda, which keeps each degree in itself, commutes with P. Each
     increment is built in coefficient space (`sg.band_spectrum`) and
     synthesized once as a frame (`sg.synthesize_frame`): a stage's frame
     and spectrum are u's cached ones plus those of its increment, checked
@@ -263,12 +266,12 @@ def step(state: FlowState, dt_request: float) -> FlowState:
     Error control: the velocity of the new body, which the next step
     reuses (FlowState.velocity), stands in for F_c in the last weight;
     that embedded solution is of order 3, and h b4 (N_c - N_new) is the
-    estimate of its error, O(h^4). Its RMS over the sphere, over TOLERANCE[n] times
-    the RMS of u, is the scaled error. Above 1 the attempt is rejected
-    and h cut by the controller; else the step is taken and the PI
-    controller proposes the next h (FlowState.dt_next). The first step of
-    a state without a proposal tries the explicit (RK4) stability limit
-    SPECTRAL_FACTOR / (L(L+1) max D).
+    estimate of its error, O(h^4). Its RMS over the sphere, over
+    TOLERANCE[n] times the RMS of u, is the scaled error. Above 1 the
+    attempt is rejected and h cut by the controller; else the step is
+    taken and the PI controller proposes the next h (FlowState.dt_next).
+    The first step of a state without a proposal tries the explicit
+    (RK4) stability limit SPECTRAL_FACTOR / (L(L+1) max D).
 
     An attempt whose stage or new body loses uniform convexity or
     positivity is rejected too, and h halved. rejected_steps counts both
