@@ -310,16 +310,19 @@ class TestStagesAgainstReference:
     def test_the_next_step_reuses_the_last_velocity(self, grid, axes, proposal, monkeypatch):
         st = gf.step(ellipse_state(grid, axes), 1e9)
         assert st.velocity.body is st.u
-        calls = []
-        real = sg.band_spectrum
+        calls, syntheses = [], []
+        real, real_synthesis = sg.band_spectrum, sg.synthesize_frame
         monkeypatch.setattr(sg, "band_spectrum", lambda *a: calls.append(1) or real(*a))
-        # a step of that state analyses stages a, b, c and the new body
+        monkeypatch.setattr(sg, "synthesize_frame",
+                            lambda *a: syntheses.append(1) or real_synthesis(*a))
+        # a step of that state analyses the velocities of stages a, b, c
+        # and of the new body, and synthesizes the frames of their increments
         gf.step(replace(st, dt_next=1e-5), 1e9)
-        assert len(calls) == 4
+        assert len(calls) == 4 and len(syntheses) == 4
         # a state whose velocity is another body's evaluates its own first
         other = gb.normalize_volume(gb.ellipse(grid, axes))
         gf.step(replace(st, u=other, dt_next=1e-5), 1e9)
-        assert len(calls) == 9
+        assert len(calls) == 9 and len(syntheses) == 8
 
     def test_a_stage_warns_on_a_marginal_body(self):
         # the top mode cos(16 theta) puts 2.5e-7 of the energy in the tail
