@@ -16,8 +16,8 @@ point (n+1)/|S^n| int u x is fixed; `run` puts it at the origin at
 t = 0, so the soliton residual, taken about the origin, measures the
 shape alone.
 
-Stepping is exponential (ETDRK4, Cox-Matthews, with phi functions in
-closed form) under error control; see `step`. Per step the velocity is
+Stepping is exponential (ETDRK4, Cox-Matthews, with phi functions by
+the contour mean of Kassam-Trefethen) under error control; see `step`. Per step the velocity is
 split into the stiff diffusion D_bar (Delta + n) (+1 for the normalized
 kind), with the diffusivity D frozen at its node mid-range D_bar, which
 the step takes exactly, and a remainder taken to fourth order. So
@@ -84,14 +84,14 @@ __all__ = [
 KINDS = ("unnormalized", "normalized", "expanding")
 DEFAULT_STOP_RESIDUAL = {1: 1e-8, 2: 1e-6}
 # Local error allowed per step on S^n, relative to the RMS of the body's
-# support values: 1% of the default stop residual. Measured against the
-# old RK4 step at its stability cap, it keeps the worst error at t = 0.5
-# over the seven sweep-n1 bodies of workload seed 1 within the old step's
-# worst (2.9e-11 against 6.7e-11), the shrinking circle at L = 32 within
-# 1e-10 (4.1e-11), and at n = 2 the error at t = 1 of random bodies at
-# L = 8 (alpha 1/4 and 1, seeds 0, 1, 3) within the old step's on each
-# body (at most 4.1e-10 against 5.7e-10 to 3.1e-8); CHANGES.md has the
-# per-body figures.
+# support values: 1% of the default stop residual. At n = 1 it takes the
+# seven sweep-n1 bodies of workload seed 1 to t = 0.5 in 206 steps with
+# errors of at most 2.9e-11, where the old RK4 step at its stability cap
+# took 568; but on the bodies at alpha 1 and 2 the error is 2.7 to 8.6
+# times that step's (CHANGES.md). The shrinking circle at L = 32 stays
+# within 1e-10 (4.1e-11), and at n = 2 the error at t = 1 of random
+# bodies at L = 8 (alpha 1/4 and 1, seeds 0, 1, 3) is within the old
+# step's on each body (at most 4.1e-10 against 5.7e-10 to 3.1e-8).
 TOLERANCE = {1: 1e-10, 2: 1e-8}
 # The first step tries the explicit (RK4) stability limit SPECTRAL_FACTOR
 # / (L(L+1) D_max); the controller proposes every later h.
@@ -103,10 +103,8 @@ MAX_BRACKET_STEPS = 100_000
 # err^-0.175 * err_last^0.1, the factor held to [SHRINK, GROW].
 SAFETY, SHRINK, GROW = 0.9, 0.2, 5.0
 _PI_EXPONENTS = (0.7 / 4.0, 0.4 / 4.0)
-# Taylor coefficients of phi_1(x/2), phi_1, phi_2, phi_3 (columns; phi_k
-# of x is sum_j x^j / (j+k)!), to below an ulp at |x| = 1.
-_PHI_TAYLOR = np.array([[0.5**j / math.factorial(j + 1)]
-                        + [1.0 / math.factorial(j + k) for k in (1, 2, 3)] for j in range(20)])
+# Upper half of the 16 points of the unit circle on which `_phi` averages.
+_CONTOUR = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 8)
 # The step's weights per degree (see `step`), each times h, as
 # combinations of phi_1(z/2), phi_1, phi_2, phi_3 (the rows): the columns
 # are phi_1(z/2)/2, phi_1, b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2.
@@ -210,20 +208,18 @@ def _laplace_plus_n(n: int, L: int) -> NDArray:
 
 def _phi(x: NDArray) -> NDArray:
     """phi_1(x/2), phi_1, phi_2, phi_3 of x (phi_0 = e^x, phi_k+1 =
-    (phi_k - 1/k!)/x) as the columns of one array, each to a few ulp:
-    where |x| >= 1 from e = expm1(x/2), with e^x - 1 = e (e + 2), and
-    that recurrence; else by their Taylor series."""
-    small = np.abs(x) < 1.0
-    y = np.where(small, 1.0, x)
-    half = np.expm1(0.5 * y)
-    out = np.empty((4, len(x)))
-    out[0] = 2.0 * half / y
-    out[1] = half * (half + 2.0) / y
-    out[2] = (out[1] - 1.0) / y
-    out[3] = (out[2] - 0.5) / y
-    out = out.T
-    out[small] = np.vander(x[small], len(_PHI_TAYLOR), increasing=True) @ _PHI_TAYLOR
-    return out
+    (phi_k - 1/k!)/x) as the columns of one array: the recurrence taken
+    on the circle of radius 1 about each point and averaged over it
+    (Kassam-Trefethen, SISC 26, 2005), which keeps it clear of the
+    cancellation near x = 0. Real x gives conjugate pairs, so the upper
+    half of a 16-point circle is enough."""
+    w = np.concatenate([0.5 * x, x])[:, None] + _CONTOUR
+    phi1 = np.expm1(w) / w
+    phi2 = (phi1 - 1.0) / w
+    phi3 = (phi2 - 0.5) / w
+    m = len(x)
+    return np.stack([phi1[:m].mean(1).real, phi1[m:].mean(1).real,
+                     phi2[m:].mean(1).real, phi3[m:].mean(1).real], axis=1)
 
 
 def step(state: FlowState, dt_request: float) -> FlowState:
