@@ -105,6 +105,7 @@ SAFETY, SHRINK, GROW = 0.9, 0.2, 5.0
 _PI_EXPONENTS = (0.7 / 4.0, 0.4 / 4.0)
 # Upper half of the 16 points of the unit circle on which `_phi` averages.
 _CONTOUR = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 8)
+_CONTOUR_MEAN = np.full(len(_CONTOUR), 1.0 / len(_CONTOUR))
 # The step's weights per degree (see `step`), each times h, as
 # combinations of phi_1(z/2), phi_1, phi_2, phi_3 (the rows): the columns
 # are phi_1(z/2)/2, phi_1, b2 = 2 phi_2 - 4 phi_3 and b4 = 4 phi_3 - phi_2.
@@ -213,13 +214,13 @@ def _phi(x: NDArray) -> NDArray:
     (Kassam-Trefethen, SISC 26, 2005), which keeps it clear of the
     cancellation near x = 0. Real x gives conjugate pairs, so the upper
     half of a 16-point circle is enough."""
+    m = len(x)
     w = np.concatenate([0.5 * x, x])[:, None] + _CONTOUR
     phi1 = np.expm1(w) / w
-    phi2 = (phi1 - 1.0) / w
+    w = w[m:]
+    phi2 = (phi1[m:] - 1.0) / w
     phi3 = (phi2 - 0.5) / w
-    m = len(x)
-    return np.stack([phi1[:m].mean(1).real, phi1[m:].mean(1).real,
-                     phi2[m:].mean(1).real, phi3[m:].mean(1).real], axis=1)
+    return (np.concatenate([phi1, phi2, phi3]).real @ _CONTOUR_MEAN).reshape(4, m).T
 
 
 def step(state: FlowState, dt_request: float) -> FlowState:
