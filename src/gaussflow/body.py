@@ -277,10 +277,9 @@ class WidthRadii(NamedTuple):
     of the outer and inner solves, to start the next body's on the same
     grid (see `width_radii`).
 
-    Two drivers make it, with the same bits: `width_radii` solves one
-    body, cold or from given bases (flows, the ball suite), and
-    `width_radii_stack` solves a suite's bodies cold as one stack (the
-    fuzz suite).
+    Two drivers make it, with the same bits: `width_radii` solves a
+    flow's body, cold or from given bases, and `width_radii_stack` solves
+    the bodies of a verify suite cold as one stack.
     """
 
     w_plus: float
@@ -439,9 +438,8 @@ def width_radii(u: SupportFunction,
     pass an earlier result's `bases` from a body on the same grid (a flow
     passes its previous sample's), or None to start both cold from
     `_start_basis`. Either start gives the same radii up to rounding.
-    This is the one-body driver, for flows and `verify --suite ball`;
-    a suite of bodies solves cold through `width_radii_stack`, which
-    gives the same bits."""
+    This is the flows' driver; both verify suites solve cold through
+    `width_radii_stack`, which gives the same bits."""
     nodes = u.grid.nodes
     outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
     return _width_radii(u, _radius_lp(nodes, u.values, outer),

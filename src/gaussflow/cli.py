@@ -350,8 +350,10 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     alphas = tuple(cfg.alpha) if cfg.alpha else None
     if cfg.suite == "ball":
-        reports = gi.body_checks(gb.ball(sg.build_grid(cfg.dim, cfg.bandlimit)),
-                                 alphas or gi.alpha_grid(cfg.dim))
+        (reports,) = gi.body_checks([gb.ball(sg.build_grid(cfg.dim, cfg.bandlimit))],
+                                    alphas or gi.alpha_grid(cfg.dim))
+        if isinstance(reports, GaussFlowError):
+            raise reports
     else:
         reports = gi.fuzz_suite(cfg.dim, _resolve_seeds(cfg, default_count=10),
                                 alphas=alphas, bandlimit=cfg.bandlimit,

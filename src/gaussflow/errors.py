@@ -12,7 +12,6 @@ __all__ = [
     "RadiiNonConvergence",
     "StepFailure",
     "CompatibilityViolation",
-    "UnsupportedDimension",
 ]
 
 
@@ -89,6 +88,3 @@ class CompatibilityViolation(GaussFlowError):
         self.norm = float(norm)
         super().__init__(f"degree-1 component of density too large: {self.norm:.3e}")
 
-
-class UnsupportedDimension(GaussFlowError):
-    """Operation restricted to a subset of supported dimensions."""

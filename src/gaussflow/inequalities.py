@@ -1,8 +1,8 @@
 """Verifiers for the sharp inequalities and identities of the flow theory.
 
-Each check is a pure function returning a CheckReport with a uniform
-slack convention, so a suite of checks over random bodies reduces to
-"every slack >= -tolerance". Covered here:
+Every check row is a CheckReport with a uniform slack convention, so a
+suite of checks over random bodies reduces to "every slack >= -tolerance".
+Covered here:
 
 - volume times polar-dual volume at the Santalo point vs the ball value
 - entropy nonnegativity at normalized volume
@@ -14,10 +14,11 @@ slack convention, so a suite of checks over random bodies reduces to
 - the entropy lower bound through the curvature image (n=1; reversed
   for negative exponents)
 
-body_checks is the per-body list that both verify suites run, made in
-one pass over the body; fuzz_suite runs it over seeded random bodies and
-an exponent grid, after solving the bodies, radii, entropy points and
-curvature images of a whole job as stacks.
+body_checks makes these rows for the bodies of one grid, after solving
+their radii, entropy points and curvature images as stacks; it is the one
+check driver of both verify suites. The ball suite runs it on the unit
+ball, and fuzz_suite on blocks of seeded random bodies over an exponent
+grid.
 """
 
 from __future__ import annotations
@@ -34,23 +35,13 @@ from . import sphere_grid as sg
 from . import body as gb
 from . import entropy as ge
 from .body import SupportFunction
-from .errors import (
-    CompatibilityViolation,
-    ConvexityLost,
-    GaussFlowError,
-    UnsupportedDimension,
-)
+from .errors import CompatibilityViolation, ConvexityLost, GaussFlowError
 
 __all__ = [
     "CheckReport",
-    "check_blaschke_santalo",
-    "check_entropy_nonneg",
-    "check_z_vs_entropy",
-    "check_affine_isoperimetric",
     "check_width_bounds",
     "CurvatureImage",
     "curvature_image",
-    "check_entropy_stability",
     "alpha_grid",
     "body_checks",
     "fuzz_suite",
@@ -92,28 +83,13 @@ def _one_sided(name, inputs, lhs, rhs, tolerance) -> CheckReport:
                        float(tolerance), bool(slack >= -tolerance))
 
 
-def _equality(name, inputs, lhs, rhs, tolerance) -> CheckReport:
-    slack = -abs(rhs - lhs)
-    return CheckReport(name, inputs, float(lhs), float(rhs), float(slack),
-                       float(tolerance), bool(slack >= -tolerance))
-
-
-def _entropy_point(u: SupportFunction, alpha: float, ep) -> ge.EntropyResult:
-    return ge.entropy_point(u, alpha) if ep is None else ep
-
-
-def check_blaschke_santalo(u: SupportFunction, ep=None) -> CheckReport:
-    """Volume times polar-dual volume at the Santalo point stays below
-    the ball's value; equality exactly for ellipsoids. ep, if given, is
-    the entropy point at alpha = 1/(n+2) (the Santalo point)."""
-    return _santalo_row(u, _digest(u), gb.volume(u), ep)
-
-
 # The row makers below take the body's digest keys or the row's inputs
 # dict, and the body's volume, so that `body_checks` makes the digest and
 # the volume once per body.
 
 def _santalo_row(u: SupportFunction, keys: dict, vol: float, ep) -> CheckReport:
+    """|Omega| |Omega^o| at the Santalo point <= |B(1)|^2, equality for
+    ellipsoids; ep is the entropy point at alpha = 1/(n+2), or None."""
     sp = ge.santalo_point(u, ep=ep)
     rhs = sg.ball_volume(u.dim) ** 2
     return _one_sided("volume-dual-volume-product",
@@ -121,48 +97,24 @@ def _santalo_row(u: SupportFunction, keys: dict, vol: float, ep) -> CheckReport:
                       vol * sp.dual_volume, rhs, 1e-8 * rhs)
 
 
-def _require_normalized(u: SupportFunction, vol: float) -> None:
-    target = sg.ball_volume(u.dim)
-    if abs(vol - target) > 1e-10 * target:
-        raise ValueError("body volume must be pre-normalized to the unit ball's")
-
-
-def check_entropy_nonneg(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
-    """At normalized volume the entropy is minimized by the ball, where
-    it vanishes; so the extremal entropy must be >= 0. Here and below,
-    ep is the body's entropy point at alpha if already solved."""
-    _require_normalized(u, gb.volume(u))
-    return _nonneg_row(_digest(u, alpha=alpha), _entropy_point(u, alpha, ep))
-
-
 def _nonneg_row(inputs: dict, ep: ge.EntropyResult) -> CheckReport:
+    """At normalized volume the ball minimizes the entropy, where it
+    vanishes; so the entropy at ep, the row's entropy point, is >= 0."""
     return _one_sided("entropy-nonnegative", inputs, 0.0, ep.value, 1e-10)
 
 
-def check_z_vs_entropy(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
-    """The curvature power mean dominates e^entropy at normalized
-    volume, for exponents alpha >= 1/(n+2) (below that the bound is not
-    available and can genuinely reverse)."""
-    _require_normalized(u, gb.volume(u))
-    if alpha < 1.0 / (u.dim + 2) - 1e-12:
-        raise ValueError("curvature power mean bound needs alpha >= 1/(n+2)")
-    return _z_row(u, _digest(u, alpha=alpha), alpha, _entropy_point(u, alpha, ep))
-
-
 def _z_row(u: SupportFunction, inputs: dict, alpha: float, ep: ge.EntropyResult) -> CheckReport:
+    """Z_alpha dominates e^entropy at normalized volume for alpha >=
+    1/(n+2); below that the bound can genuinely reverse."""
     lhs = math.exp(ep.value)
     rhs = ge.zalpha(u, alpha)
     return _one_sided("curvature-mean-vs-entropy", inputs, lhs, rhs,
                       1e-10 * max(abs(lhs), abs(rhs)))
 
 
-def check_affine_isoperimetric(u: SupportFunction) -> CheckReport:
+def _affine_row(u: SupportFunction, keys: dict, vol: float) -> CheckReport:
     """Affine surface area to the power n+2 against its sharp bound
     (n+1)^(n+2) |B(1)|^2 |Omega|^n; equality for ellipsoids."""
-    return _affine_row(u, _digest(u), gb.volume(u))
-
-
-def _affine_row(u: SupportFunction, keys: dict, vol: float) -> CheckReport:
     n = u.dim
     lhs = gb.affine_surface_area(u) ** (n + 2)
     rhs = (n + 1.0) ** (n + 2) * sg.ball_volume(n) ** 2 * vol ** n
@@ -214,15 +166,13 @@ def curvature_image(u: SupportFunction, alpha: float, ep=None) -> CurvatureImage
     first-variation identity makes int density * x dtheta vanish; beyond
     1e-9 it raises CompatibilityViolation. For n=1 the body with this
     curvature density is recovered by dividing Fourier modes by 1 - k^2
-    (degree-1 modes verified tiny, then zeroed)."""
-    return _one_body_images(u, gb.volume(u), [alpha], [_entropy_point(u, alpha, ep)])[0]
-
-
-def _one_body_images(u: SupportFunction, vol: float, alphas, eps) -> list[CurvatureImage]:
-    images = _curvature_images([u], [vol], alphas, [eps])[0]
+    (degree-1 modes verified tiny, then zeroed). ep, if given, is the
+    entropy point at alpha."""
+    ep = ge.entropy_point(u, alpha) if ep is None else ep
+    images = _curvature_images([u], [gb.volume(u)], [alpha], [[ep]])[0]
     if isinstance(images, GaussFlowError):
         raise images
-    return images
+    return images[0]
 
 
 def _curvature_images(bodies, vols, alphas, eps) -> list[list[CurvatureImage] | GaussFlowError]:
@@ -270,28 +220,11 @@ def _curvature_images(bodies, vols, alphas, eps) -> list[list[CurvatureImage] | 
     return out
 
 
-def check_entropy_stability(u: SupportFunction, alpha: float, ep=None) -> CheckReport:
-    """Entropy lower bound through the curvature image (n=1 only, where
-    the image body is reconstructible): for alpha >= 1/3 the extremal
-    entropy dominates
-    (1/2) log(|Omega|/|B(1)|) + (1/2) log(|Omega|/|image|);
-    for alpha < 0 the comparison reverses. Equality for ellipses."""
-    if u.dim != 1:
-        raise UnsupportedDimension("entropy stability check needs n=1")
-    if not _has_stability_bound(alpha):
-        raise ValueError("entropy stability bound needs alpha >= 1/(n+2) or alpha < 0")
-    vol = gb.volume(u)
-    ep = _entropy_point(u, alpha, ep)
-    return _stability_row(u, _digest(u, alpha=alpha), vol, alpha, ep,
-                          _one_body_images(u, vol, [alpha], [ep])[0])
-
-
-def _has_stability_bound(alpha: float) -> bool:
-    return alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0
-
-
 def _stability_row(u: SupportFunction, inputs: dict, vol: float, alpha: float,
                    ep: ge.EntropyResult, ci: CurvatureImage) -> CheckReport:
+    """For alpha >= 1/3 (n=1) the entropy dominates (1/2) log(|Omega|/|B(1)|)
+    + (1/2) log(|Omega|/|image|), reversed for alpha < 0; equality for
+    ellipses."""
     n = u.dim
     bound = (math.log(vol / sg.ball_volume(n)) / (n + 1)
              + n / (n + 1) * math.log(vol / gb.volume(ci.body)))
@@ -307,14 +240,8 @@ def alpha_grid(dim: int) -> tuple[float, ...]:
     return tuple(dict.fromkeys((-1.0, 1.0 / (dim + 2), 1.0 / dim, 0.5, 1.0, 2.0, 5.0)))
 
 
-def _imaged(n: int, alphas: tuple) -> list[int]:
-    """The places of the exponents whose curvature image `body_checks`
-    checks: n=1 only, alpha >= 1/3 or alpha < 0."""
-    return [i for i, a in enumerate(alphas) if n == 1 and _has_stability_bound(a)]
-
-
-def body_checks(u: SupportFunction, alphas, radii=None, eps=None, images=None) -> list[CheckReport]:
-    """The per-body check list of both suites, made in one pass.
+def body_checks(bodies, alphas) -> list[list[CheckReport] | GaussFlowError]:
+    """The check rows of each body, all on one grid, made in one pass.
 
     Once per body: the dual-volume product, the width bounds and the
     affine isoperimetric inequality; per exponent: entropy
@@ -325,36 +252,60 @@ def body_checks(u: SupportFunction, alphas, radii=None, eps=None, images=None) -
     made once per body, and the rows of one exponent share one inputs
     dict (which the checks writers then render once).
 
-    A suite solves its bodies' radii, entropy points and images as
-    stacks and passes each body's entry: radii from
-    `body.width_radii_stack`, eps (the points of all exponents) from
-    `entropy.entropy_points_stack`, images (those of the `_imaged`
-    exponents) from `_curvature_images`. An entry that is an error is
-    raised where the one-body solve would raise it: eps first, radii at
-    the width rows, images after the normalization check. None solves
-    for this one body (`entropy.entropy_points`, `body.width_radii`,
-    one stacked image transform)."""
+    The bodies' radii are one stack (`body.width_radii_stack`), the
+    entropy points of every (body, exponent) row one Newton iteration
+    (`entropy.entropy_points_stack`) and, at n=1, the curvature images
+    one build (`_curvature_images`). A row's bits never depend on the
+    other rows. Returns, per body, its reports or the first
+    GaussFlowError of its checks, in row order: the entropy points' error,
+    then the Santalo row's, the radii's and the images'. A body whose
+    volume is not the unit ball's raises ValueError."""
     alphas = tuple(alphas)
-    if eps is None:
-        eps = ge.entropy_points(u, alphas)
-    elif isinstance(eps, GaussFlowError):
+    if not bodies:
+        return []
+    n = bodies[0].dim
+    vols = [gb.volume(u) for u in bodies]
+    radii = gb.width_radii_stack(bodies)
+    eps = ge.entropy_points_stack(bodies, alphas)
+    imaged = [i for i, a in enumerate(alphas) if n == 1 and (a >= 1.0 / 3 - 1e-12 or a < 0.0)]
+    images = [{}] * len(bodies)
+    # images only for the bodies whose checks get that far
+    ready = [b for b, (r, e) in enumerate(zip(radii, eps))
+             if not isinstance(r, GaussFlowError) and not isinstance(e, GaussFlowError)]
+    if imaged and ready:
+        solved = _curvature_images([bodies[b] for b in ready], [vols[b] for b in ready],
+                                   [alphas[i] for i in imaged],
+                                   [[eps[b][i] for i in imaged] for b in ready])
+        for b, im in zip(ready, solved):
+            images[b] = im if isinstance(im, GaussFlowError) else dict(zip(imaged, im))
+    out = []
+    for u, vol, *solves in zip(bodies, vols, radii, eps, images):
+        try:
+            out.append(_body_rows(u, alphas, vol, *solves))
+        except GaussFlowError as err:
+            out.append(err)
+    return out
+
+
+def _body_rows(u: SupportFunction, alphas: tuple, vol: float, radii, eps,
+               images) -> list[CheckReport]:
+    """One body's rows from its solves: its radii, its entropy points and
+    its images by place in alphas. A solve that is an error is raised
+    where the first row that needs it is made."""
+    if isinstance(eps, GaussFlowError):
         raise eps
     n = u.dim
-    keys, vol = _digest(u), gb.volume(u)
+    keys = _digest(u)
     santalo = next((ep for a, ep in zip(alphas, eps) if a == 1.0 / (n + 2)), None)
     reports = [_santalo_row(u, keys, vol, santalo)]
-    if radii is None:
-        radii = gb.width_radii(u)
-    elif isinstance(radii, GaussFlowError):
+    if isinstance(radii, GaussFlowError):
         raise radii
     reports += [*_width_rows(n, keys, radii), _affine_row(u, keys, vol)]
-    _require_normalized(u, vol)
-    imaged = _imaged(n, alphas)
-    if images is None and imaged:
-        images = _one_body_images(u, vol, [alphas[i] for i in imaged], [eps[i] for i in imaged])
-    elif isinstance(images, GaussFlowError):
+    target = sg.ball_volume(n)
+    if abs(vol - target) > 1e-10 * target:
+        raise ValueError("body volume must be pre-normalized to the unit ball's")
+    if isinstance(images, GaussFlowError):
         raise images
-    images = dict(zip(imaged, images or ()))
     for i, (alpha, ep) in enumerate(zip(alphas, eps)):
         inputs = {**keys, "alpha": alpha}
         reports.append(_nonneg_row(inputs, ep))
@@ -376,14 +327,12 @@ def fuzz_suite(dim: int, seeds, alphas=None, bandlimit: int | None = None,
     default alpha_grid(dim)); returns one flat list of reports, in seed
     order. Each block of seeds is checked as one stack per layer: its
     random bodies are one stacked build per round of draws
-    (`body.random_bodies`), their radii one exchange
-    (`body.width_radii_stack`), the entropy points of every (body,
-    exponent) row one Newton iteration (`entropy.entropy_points_stack`)
-    and, at n=1, every image body one build (`_curvature_images`). A
-    row's bits never depend on the other rows, so a seed's rows are those
-    of a run of that seed alone. A seed whose body or checks raise a
-    GaussFlowError gives, in place of its rows, one "check-error" row
-    naming the seed and the first error, the one its run alone gives."""
+    (`body.random_bodies`), and the built bodies one `body_checks` call.
+    A row's bits never depend on the other rows, so a seed's rows are
+    those of a run of that seed alone. A seed whose body or checks fail
+    with a GaussFlowError gives, in place of its rows, one "check-error"
+    row naming the seed and the first error, the one its run alone
+    gives."""
     if alphas is None:
         alphas = alpha_grid(dim)
     alphas = tuple(alphas)
@@ -394,30 +343,13 @@ def fuzz_suite(dim: int, seeds, alphas=None, bandlimit: int | None = None,
     for b in range(0, len(seeds), _FUZZ_BLOCK):
         block = seeds[b:b + _FUZZ_BLOCK]
         made = gb.random_bodies(block, dim, bandlimit, amplitude)
-        built = [u for u in made if isinstance(u, SupportFunction)]
-        radii = gb.width_radii_stack(built)
-        eps = ge.entropy_points_stack(built, alphas)
-        images = [None] * len(built)
-        imaged = _imaged(dim, alphas)
-        # images only for the bodies whose checks get that far
-        ready = [i for i, (r, e) in enumerate(zip(radii, eps))
-                 if not isinstance(r, GaussFlowError) and not isinstance(e, GaussFlowError)]
-        if imaged and ready:
-            solved = _curvature_images([built[i] for i in ready],
-                                       [gb.volume(built[i]) for i in ready],
-                                       [alphas[j] for j in imaged],
-                                       [[eps[i][j] for j in imaged] for i in ready])
-            for i, im in zip(ready, solved):
-                images[i] = im
-        checked = iter(zip(radii, eps, images))
+        checked = iter(body_checks([u for u in made if isinstance(u, SupportFunction)], alphas))
         for seed, u in zip(block, made):
-            if isinstance(u, GaussFlowError):
-                reports.append(_error_row(seed, u))
-                continue
-            try:
-                reports.extend(body_checks(u, alphas, *next(checked)))
-            except GaussFlowError as e:
-                reports.append(_error_row(seed, e))
+            rows = u if isinstance(u, GaussFlowError) else next(checked)
+            if isinstance(rows, GaussFlowError):
+                reports.append(_error_row(seed, rows))
+            else:
+                reports.extend(rows)
     return reports
 
 

@@ -239,6 +239,16 @@ class TestVerify:
         assert [r["name"] for r in doc["reports"]] == \
                [r.name for r in gi.fuzz_suite(1, [0])]
 
+    def test_ball_suite_solver_failure_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # no entropy solve can meet a negative residual bound
+        monkeypatch.setattr(ge, "GRAD_TOL", -1.0)
+        rc = main(["verify", "--suite", "ball", "--dim", "1",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "solver failure" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("checks.*"))
+
     def test_fuzz_suite(self, tmp_path):
         rc = main(["verify", "--suite", "fuzz", "--dim", "1", "--bandlimit",
                    "12", "--seed-count", "2", "--out-dir", str(tmp_path)])

@@ -421,7 +421,7 @@ class TestAgainstReferenceWriters:
     def test_checks_of_a_verify_run(self, tmp_path, dim, L):
         # rows as `verify` makes them: a body's checks, whose rows share
         # inputs dicts, then a solver failure's NaN check-error row
-        reports = gi.body_checks(gb.random_body(0, dim, L, 0.1), gi.alpha_grid(dim)) + [
+        reports = gi.body_checks([gb.random_body(0, dim, L, 0.1)], gi.alpha_grid(dim))[0] + [
             CheckReport(name="check-error", inputs={"seed": 7, "error": "no convergence after "
                                                     "0 iterations (residual 1.393e-04)"},
                         lhs=math.nan, rhs=math.nan, slack=math.nan, tolerance=0.0,

@@ -23,7 +23,7 @@ from gaussflow import inequalities as gi
 from gaussflow import sphere_grid as sg
 from gaussflow.cli import main
 from gaussflow.errors import (CompatibilityViolation, ConvexityLost, GaussFlowError,
-                              RandomBodyFailure, UnsupportedDimension)
+                              RandomBodyFailure)
 
 BALL_L = {1: 16, 2: 8}
 
@@ -35,6 +35,13 @@ class NotASoliton(GaussFlowError):
         self.residual = float(residual)
         self.threshold = float(threshold)
         super().__init__(f"soliton residual {residual:.3e} exceeds {threshold:.3e}")
+
+
+def _equality(name, inputs, lhs, rhs, tolerance) -> gi.CheckReport:
+    """A two-sided row: slack = -|rhs - lhs|."""
+    slack = -abs(rhs - lhs)
+    return gi.CheckReport(name, inputs, float(lhs), float(rhs), float(slack),
+                          float(tolerance), bool(slack >= -tolerance))
 
 
 def check_soliton_properties(u, alpha: float) -> list:
@@ -56,10 +63,10 @@ def check_soliton_properties(u, alpha: float) -> list:
     target = sg.ball_volume(n)
     origin = np.zeros(n + 1)
     reports = [
-        gi._equality("soliton-volume-matches-unit-ball", inputs,
-                     gb.volume(u), target, tol * target),
-        gi._equality("soliton-entropy-point-at-origin", inputs,
-                     float(np.linalg.norm(ge.entropy_point(u, alpha).point)), 0.0, tol),
+        _equality("soliton-volume-matches-unit-ball", inputs,
+                  gb.volume(u), target, tol * target),
+        _equality("soliton-entropy-point-at-origin", inputs,
+                  float(np.linalg.norm(ge.entropy_point(u, alpha).point)), 0.0, tol),
     ]
     dual_name = "soliton-dual-volume-above-ball"
     if alpha < 1.0:
@@ -89,6 +96,21 @@ def ellipse_n1(a, b, L=128):
     return gb.ellipse(sg.build_grid(1, L), (a, b))
 
 
+def check_rows(u, alphas=()) -> list:
+    """The check rows of the (volume-normalized) body u from
+    `body_checks`, which must not fail."""
+    (reports,) = gi.body_checks([u], alphas)
+    assert isinstance(reports, list), reports
+    return reports
+
+
+def pick(reports, name, alpha=None):
+    """The one row whose name starts with name, at exponent alpha (None
+    for the once-per-body rows)."""
+    (r,) = [r for r in reports if r.name.startswith(name) and r.inputs.get("alpha") == alpha]
+    return r
+
+
 @pytest.fixture(scope="module")
 def converged_n1():
     """Final state of a normalized run from a symmetric random body."""
@@ -100,7 +122,7 @@ def converged_n1():
 class TestBallEqualities:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_dual_volume_product(self, dim):
-        r = gi.check_blaschke_santalo(ball(dim))
+        r = pick(check_rows(ball(dim)), "volume-dual-volume-product")
         assert r.name == "volume-dual-volume-product"
         assert r.passed
         assert abs(r.slack) <= 1e-10 * r.rhs
@@ -109,29 +131,30 @@ class TestBallEqualities:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_entropy_nonneg_all_exponents(self, dim):
-        u = ball(dim)
+        reports = check_rows(ball(dim), gi.alpha_grid(dim))
         for alpha in gi.alpha_grid(dim):
-            r = gi.check_entropy_nonneg(u, alpha)
+            r = pick(reports, "entropy-nonnegative", alpha)
             assert r.passed
             assert abs(r.rhs) <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_curvature_mean_bound(self, dim):
-        u = ball(dim)
-        for alpha in (1.0 / (dim + 2), 1.0, 2.0, 5.0):
-            r = gi.check_z_vs_entropy(u, alpha)
+        alphas = (1.0 / (dim + 2), 1.0, 2.0, 5.0)
+        reports = check_rows(ball(dim), alphas)
+        for alpha in alphas:
+            r = pick(reports, "curvature-mean-vs-entropy", alpha)
             assert r.passed
             assert_allclose([r.lhs, r.rhs], 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_affine_isoperimetric(self, dim):
-        r = gi.check_affine_isoperimetric(ball(dim))
+        r = pick(check_rows(ball(dim)), "affine-isoperimetric")
         assert r.passed
         assert abs(r.slack) <= 1e-10 * r.rhs
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_width_reports(self, dim):
-        reports = gi.check_width_bounds(ball(dim))
+        reports = check_rows(ball(dim))[1:5]
         assert [r.name for r in reports] == [
             "half-max-width-below-outradius",
             "outradius-vs-max-width-factor",
@@ -148,7 +171,7 @@ class TestBallEqualities:
 
     @pytest.mark.parametrize("alpha", [1.0 / 3, 1.0, 5.0, -1.0])
     def test_stability_bound(self, alpha):
-        r = gi.check_entropy_stability(ball(1), alpha)
+        r = pick(check_rows(ball(1), (alpha,)), "entropy-vs-curvature-image-bound", alpha)
         assert r.passed
         assert abs(r.slack) <= 1e-10
         assert ("reversed" in r.name) == (alpha < 0)
@@ -186,34 +209,53 @@ class TestBallEqualities:
 
 class TestEllipseEqualities:
     def test_dual_volume_product(self):
-        r = gi.check_blaschke_santalo(ellipse_n1(2.0, 0.5))
+        r = pick(check_rows(ellipse_n1(2.0, 0.5)), "volume-dual-volume-product")
         assert r.passed
         assert abs(r.slack) <= 1e-8 * r.rhs
 
     def test_affine_isoperimetric(self):
-        r = gi.check_affine_isoperimetric(ellipse_n1(2.0, 0.5))
+        r = pick(check_rows(ellipse_n1(2.0, 0.5)), "affine-isoperimetric")
         assert r.passed
         assert abs(r.slack) <= 1e-8 * r.rhs
 
     def test_stability_equality_at_affine_exponent(self):
-        r = gi.check_entropy_stability(ellipse_n1(2.0, 0.5), 1.0 / 3)
+        alpha = 1.0 / 3
+        r = pick(check_rows(ellipse_n1(2.0, 0.5), (alpha,)), "entropy-vs-curvature-image-bound",
+                 alpha)
         assert r.passed
         assert abs(r.slack) <= 1e-8
 
     @pytest.mark.parametrize("alpha", [1.0, -1.0])
     def test_stability_strict_away_from_affine_exponent(self, alpha):
-        r = gi.check_entropy_stability(ellipse_n1(2.0, 0.5), alpha)
+        r = pick(check_rows(ellipse_n1(2.0, 0.5), (alpha,)), "entropy-vs-curvature-image-bound",
+                 alpha)
         assert r.passed
         assert r.slack > 1e-6
 
     def test_ellipsoid_n2(self):
-        u = gb.ellipse(sg.build_grid(2, 32), (1.2, 0.9, 1.0 / 1.08))
-        r_bs = gi.check_blaschke_santalo(u)
+        reports = check_rows(gb.ellipse(sg.build_grid(2, 32), (1.2, 0.9, 1.0 / 1.08)))
+        r_bs = pick(reports, "volume-dual-volume-product")
         assert r_bs.passed
         assert abs(r_bs.slack) <= 1e-8 * r_bs.rhs
-        r_ai = gi.check_affine_isoperimetric(u)
+        r_ai = pick(reports, "affine-isoperimetric")
         assert r_ai.passed
         assert abs(r_ai.slack) <= 1e-8 * r_ai.rhs
+
+    def test_sharp_ellipsoid_n2(self):
+        # the 2 : 1 : 0.5 ellipsoid is an equality case of both bounds; the
+        # gaps are quadrature error, which falls below 1e-8 by L = 40
+        def rows(L):
+            u = gb.normalize_volume(gb.ellipse(sg.build_grid(2, L), (2.0, 1.0, 0.5)))
+            reports = check_rows(u)
+            return [pick(reports, name)
+                    for name in ("volume-dual-volume-product", "affine-isoperimetric")]
+
+        coarse, sharp = rows(24), rows(40)
+        for r, r24 in zip(sharp, coarse, strict=True):
+            gap = (r.rhs - r.lhs) / r.rhs
+            assert r.passed
+            assert 0.0 <= gap <= 1e-8, (r.name, gap)
+            assert gap < (r24.rhs - r24.lhs) / r24.rhs, r.name
 
 
 class TestAffineInvariance:
@@ -287,7 +329,7 @@ class TestSolitonChecks:
         assert all(r.passed for r in reports)
 
     def test_curvature_mean_bound_near_soliton(self, converged_n1):
-        r = gi.check_z_vs_entropy(converged_n1, 1.0)
+        r = pick(check_rows(converged_n1, (1.0,)), "curvature-mean-vs-entropy", 1.0)
         assert r.passed
         assert r.slack <= 1e-6
 
@@ -476,42 +518,14 @@ def test_smoothed_tetrahedron_under_resolved_loses_convexity():
         smoothed_tetrahedron(L=16)
 
 
-def one_exponent_checks(u, alphas):
-    """The rows of body_checks, each check made alone with its own
-    entropy solve."""
-    n = u.dim
-    reports = [gi.check_blaschke_santalo(u), *gi.check_width_bounds(u),
-               gi.check_affine_isoperimetric(u)]
-    for alpha in alphas:
-        reports.append(gi.check_entropy_nonneg(u, alpha))
-        if alpha >= 1.0 / (n + 2) - 1e-12:
-            reports.append(gi.check_z_vs_entropy(u, alpha))
-        if n == 1 and (alpha >= 1.0 / 3 - 1e-12 or alpha < 0.0):
-            reports.append(gi.check_entropy_stability(u, alpha))
-    return reports
-
-
 class TestBodyChecks:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_fuzz_suite_is_body_checks(self, dim):
         L = 16 if dim == 1 else 8
         fuzz = gi.fuzz_suite(dim, [3])
-        direct = gi.body_checks(gb.random_body(3, dim, L, 0.1), gi.alpha_grid(dim))
+        direct = check_rows(gb.random_body(3, dim, L, 0.1), gi.alpha_grid(dim))
         assert [(r.name, r.lhs, r.rhs) for r in fuzz] == \
                [(r.name, r.lhs, r.rhs) for r in direct]
-
-    @pytest.mark.parametrize("dim,L", [(1, 16), (2, 8)])
-    def test_one_pass_matches_one_check_at_a_time(self, dim, L):
-        alphas = gi.alpha_grid(dim)
-        for seed in range(20):
-            u = gb.random_body(seed, dim, L, 0.1)
-            stacked = gi.body_checks(u, alphas)
-            alone = one_exponent_checks(u, alphas)
-            assert [(r.name, r.inputs, r.passed) for r in stacked] == \
-                   [(r.name, r.inputs, r.passed) for r in alone]
-            for a, b in zip(stacked, alone):
-                for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
-                    assert abs(x - y) <= 1e-14 * max(1.0, abs(y)), (a.name, x, y)
 
     def test_unconverged_entropy_point_is_one_check_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ge, "MAX_ITER", 0)
@@ -527,18 +541,6 @@ class TestBodyChecks:
 
 
 class TestValidation:
-    def test_curvature_mean_needs_exponent_above_threshold(self):
-        with pytest.raises(ValueError, match="1/\\(n\\+2\\)"):
-            gi.check_z_vs_entropy(ball(1), 0.2)
-
     def test_entropy_nonneg_needs_normalized_volume(self):
         with pytest.raises(ValueError, match="normalized"):
-            gi.check_entropy_nonneg(ball(1, 1.3), 1.0)
-
-    def test_stability_needs_n1(self):
-        with pytest.raises(UnsupportedDimension):
-            gi.check_entropy_stability(ball(2), 1.0)
-
-    def test_stability_exponent_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            gi.check_entropy_stability(ball(1), 0.2)
+            gi.body_checks([ball(1, 1.3)], (1.0,))
