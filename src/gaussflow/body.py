@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 from . import sphere_grid as sg
@@ -45,6 +46,7 @@ __all__ = [
     "width_radii",
     "width_radii_stack",
     "WidthRadii",
+    "values_about",
     "dual_volume",
     "boundary_points",
     "random_body",
@@ -243,14 +245,20 @@ def affine_surface_area(u: SupportFunction) -> float:
     return sg.integrate(u.grid, curvature_data(u).f ** ((n + 1) / (n + 2)))
 
 
-def dual_volume(u: SupportFunction, z: NDArray) -> float:
-    """Volume of the polar dual body taken about basepoint + z."""
+def values_about(u: SupportFunction, z: NDArray) -> NDArray:
+    """Support values u - <z, x> of the body about basepoint + z; raises
+    NotInterior unless every one is positive (z inside the body)."""
     z = np.asarray(z, dtype=float)
     uz = u.values - u.grid.nodes @ z
     m = uz.min()
     if m <= 0.0:
         raise NotInterior(z, m)
-    return sg.integrate(u.grid, uz ** (-(u.dim + 1))) / (u.dim + 1)
+    return uz
+
+
+def dual_volume(u: SupportFunction, z: NDArray) -> float:
+    """Volume of the polar dual body taken about basepoint + z."""
+    return sg.integrate(u.grid, values_about(u, z) ** (-(u.dim + 1))) / (u.dim + 1)
 
 
 def boundary_points(u: SupportFunction) -> NDArray:
@@ -268,7 +276,7 @@ class WidthRadii(NamedTuple):
 
     w_plus/w_minus: max/min over nodes of the width u(x) + u(-x).
     rho_plus/rho_minus: circumradius and inradius as min-max/max-min of
-    u(x) - <z, x> over grid nodes, solved exactly by `_radius_lp`.
+    u(x) - <z, x> over grid nodes, solved exactly by `_radius_lps`.
     center_out/center_in (relative to the basepoint) are one optimal point
     of each solve, not the only one: the optimum can be a face, as when an
     antipodal node pair (a width) is active, and then solves from
@@ -277,9 +285,10 @@ class WidthRadii(NamedTuple):
     of the outer and inner solves, to start the next body's on the same
     grid (see `width_radii`).
 
-    Two drivers make it, with the same bits: `width_radii` solves a
-    flow's body, cold or from given bases, and `width_radii_stack` solves
-    the bodies of a verify suite cold as one stack.
+    One solver makes it: `width_radii` solves a flow's body as a two-row
+    stack, cold or from given bases, and `width_radii_stack` solves the
+    bodies of a verify suite cold as one stack; a row's bits do not
+    depend on the stack's height.
     """
 
     w_plus: float
@@ -304,164 +313,142 @@ def _start_basis(nodes: NDArray) -> NDArray:
     return np.argmax(nodes @ _SIMPLEX[nodes.shape[1]].T, axis=0)
 
 
-def _radius_lp(nodes: NDArray, u: NDArray,
-               start: NDArray) -> tuple[float, NDArray, NDArray]:
-    """Outer radius min over z of max_i u_i - <z, x_i>, its center z and
-    the optimal basis, by Stiefel's exchange (Numer. Math. 2, 1960): a
-    revised simplex on the dual max sum lam_i u_i, sum lam_i = 1, sum
-    lam_i x_i = 0, lam >= 0, over n+2 basis nodes. A pivot brings in the
-    node most above the basis level and drops the ratio test's node, the
-    lowest index on ties (Bland).
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
+def _radius_lps(nodes: NDArray, U: NDArray,
+                starts: NDArray) -> list[tuple[float, NDArray, NDArray] | RadiiNonConvergence]:
+    """Outer radius min over z of max_i U[r, i] - <z, x_i> of every row r
+    of U (k, nodes), with its center z and optimal basis, by Stiefel's
+    exchange (Numer. Math. 2, 1960): a revised simplex on the dual max
+    sum lam_i u_i, sum lam_i = 1, sum lam_i x_i = 0, lam >= 0, over n+2
+    basis nodes. A pivot brings in the node most above the basis level
+    (the optimum once no excess exceeds 1e-14 * max(1, |u|)) and drops
+    the ratio test's node, the lowest index among ratios within 1e-15 of
+    the least (Bland).
 
-    The solve starts from `start`, n+2 distinct node indices (not
+    Row r starts from starts[r], n+2 distinct node indices (not
     modified): `_start_basis(nodes)` cold, or the optimal basis of an
     earlier solve on the same nodes. The weights lam depend on the basis
     nodes only, not on u, so such a basis is dual-feasible for any u; a
     start is accepted when its smallest weight is >= -1e-12 (rounding),
     which the ratio test treats as 0. rho is the LP optimum whatever the
     start, the center one optimal point of a possibly larger face.
-    Raises RadiiNonConvergence for a start below that tolerance, past
-    `_MAX_PIVOTS` pivots, or if max_i u_i - <z, x_i> at the center misses
-    the dual objective by more than 1e-8."""
-    d = nodes.shape[1]
-    basis = np.array(start)
-    tol = 1e-14 * max(1.0, float(np.abs(u).max()))
-    M = np.ones((d + 1, d + 1))
-    col = np.ones(d + 1)                # (1, x_j) of the entering node j
-    for pivots in range(_MAX_PIVOTS + 1):
-        M[1:] = nodes[basis].T          # columns (1, x_i), i in the basis
-        Minv = np.linalg.inv(M)
-        lam = Minv[:, 0]                # dual weights: M lam = (1, 0)
-        if pivots == 0 and lam.min() < -1e-12:  # below rounding: not dual-feasible
-            raise RadiiNonConvergence(np.nan, np.inf)
-        y = Minv.T @ u[basis]           # level y[0] and center y[1:]
-        excess = u - nodes @ y[1:] - y[0]
-        excess[basis] = 0.0             # zero up to rounding; must not re-enter
-        j = int(np.argmax(excess))
-        if excess[j] <= tol:
-            rho = float((u - nodes @ y[1:]).max())
-            gap = abs(rho - float(lam @ u[basis]))
-            if gap > 1e-8 * max(1.0, abs(rho)):
-                raise RadiiNonConvergence(rho, gap)
-            return rho, y[1:], basis
-        if pivots == _MAX_PIVOTS:
-            raise RadiiNonConvergence(float(y[0]), float(excess[j]))
-        # ratio test on Python floats: d+1 entries cost less than array calls
-        col[1:] = nodes[j]
-        ratio = [max(w, 0.0) / max(dw, 1e-14) if dw > 1e-14 else np.inf
-                 for w, dw in zip(lam.tolist(), (Minv @ col).tolist())]
-        cut = min(ratio) + 1e-15
-        ties = [k for k, r in enumerate(ratio) if r <= cut]
-        basis[min(ties, key=lambda k: basis[k])] = j
 
-
-def _radius_lps(nodes: NDArray, U: NDArray,
-                starts: NDArray) -> list[tuple[float, NDArray, NDArray] | RadiiNonConvergence]:
-    """`_radius_lp` of every row of U (k, nodes), row r from starts[r],
-    as one stack: per pivot one inverse of the (k, d+1, d+1) basis
-    matrices, one stacked matmul for the excess of every node and a
-    vectorised ratio test. Each row keeps every rule of the one-row solve
-    (start test, tolerance, `_MAX_PIVOTS`, Bland's rule, gap certificate)
-    and its arithmetic, so it gives the one-row solve's bits; rows leave
-    the stack as they stop. Returns, in row order, (rho, center, basis)
-    or the RadiiNonConvergence that the one-row solve would raise."""
+    The rows are one stack: per pivot one inverse of the (k, d+1, d+1)
+    basis matrices, one stacked matmul for the excess of every node and
+    a vectorised ratio test, each row's product made alone, so a row has
+    the same bits in a stack of any height; rows leave the stack as they
+    stop. Returns, in row order, (rho, center, basis) or the
+    RadiiNonConvergence of the row: for a start below the tolerance, a
+    singular basis (a pivot on a rounding-sized entry can make one),
+    past `_MAX_PIVOTS` pivots, or if max_i u_i - <z, x_i> at the center
+    misses the dual objective by more than 1e-8."""
     d = nodes.shape[1]
     out: list = [None] * len(U)
     rows = np.arange(len(U))
     basis = np.array(starts)
     tol = 1e-14 * np.maximum(1.0, np.abs(U).max(axis=1))
+    M = np.ones((len(U), d + 1, d + 1))     # columns (1, x_i), i in the basis
+    M[:, 1:] = nodes[basis].transpose(0, 2, 1)
+    col = np.ones((len(U), d + 1, 1))       # (1, x_j) of each entering node j
+    at = rows[:, None]
     for pivots in range(_MAX_PIVOTS + 1):
-        M = np.ones((len(rows), d + 1, d + 1))
-        M[:, 1:] = nodes[basis].transpose(0, 2, 1)
-        Minv = np.linalg.inv(M)
-        lam = Minv[:, :, 0]
-        refused = (pivots == 0) & (lam.min(axis=1) < -1e-12)
-        ub = np.take_along_axis(U, basis, axis=1)
-        # stacked matmul makes each row's product the one-row solve's
+        # the gufunc np.linalg.inv runs, without its per-call checks: the
+        # inverse of a singular basis matrix is NaN, without a warning
+        Minv = _umath_linalg.inv(M, signature="d->d")
+        lam = Minv[:, :, 0]                 # dual weights: M lam = (1, 0)
+        ub = U[at, basis]
+        # stacked matmul makes each row's product the one it makes alone
         # (einsum sums in another order and moves rho in the last bit)
-        y = np.matmul(Minv.transpose(0, 2, 1), ub[:, :, None])[:, :, 0]
+        y = np.matmul(Minv.transpose(0, 2, 1), ub[:, :, None])[:, :, 0]  # level, center
         level = U - np.matmul(nodes, y[:, 1:, None])[:, :, 0]
         excess = level - y[:, :1]
-        np.put_along_axis(excess, basis, 0.0, axis=1)
+        excess[at, basis] = 0.0             # zero up to rounding; must not re-enter
         j = excess.argmax(axis=1)
-        top = excess[np.arange(len(rows)), j]
-        done = top <= tol
-        stop = refused | done | (pivots == _MAX_PIVOTS)
-        for i in np.flatnonzero(stop):
-            if refused[i]:
-                out[rows[i]] = RadiiNonConvergence(np.nan, np.inf)
-            elif not done[i]:
-                out[rows[i]] = RadiiNonConvergence(float(y[i, 0]), float(top[i]))
-            else:
-                rho = float(level[i].max())
-                gap = abs(rho - float(lam[i] @ ub[i]))
-                out[rows[i]] = (RadiiNonConvergence(rho, gap) if gap > 1e-8 * max(1.0, abs(rho))
-                                else (rho, y[i, 1:], basis[i]))
-        if stop.all():
-            return out
-        go = ~stop
-        rows, U, basis, tol, Minv, lam, j = (a[go] for a in (rows, U, basis, tol, Minv, lam, j))
-        col = np.ones((len(rows), d + 1, 1))    # (1, x_j) of each entering node j
+        top = excess[at[:, 0], j]
+        stop = ~(top > tol)                 # optimal, or NaN from a singular basis
+        if pivots == 0:
+            refused = lam.min(axis=1) < -1e-12   # below rounding: not dual-feasible
+            stop |= refused
+        if pivots == _MAX_PIVOTS:
+            stop[:] = True
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                if pivots == 0 and refused[i] or np.isnan(top[i]):
+                    out[rows[i]] = RadiiNonConvergence(np.nan, np.inf)
+                elif top[i] > tol[i]:
+                    out[rows[i]] = RadiiNonConvergence(float(y[i, 0]), float(top[i]))
+                else:
+                    rho = float(level[i].max())
+                    gap = abs(rho - float(lam[i] @ ub[i]))
+                    out[rows[i]] = (RadiiNonConvergence(rho, gap)
+                                    if gap > 1e-8 * max(1.0, abs(rho))
+                                    else (rho, y[i, 1:], basis[i]))
+            if stop.all():
+                return out
+            go = ~stop
+            rows, U, basis, tol, M, col, Minv, lam, j = (
+                a[go] for a in (rows, U, basis, tol, M, col, Minv, lam, j))
+            at = np.arange(len(rows))[:, None]
         col[:, 1:, 0] = nodes[j]
         dw = np.matmul(Minv, col)[:, :, 0]
-        ratio = np.full(dw.shape, np.inf)
-        moving = dw > 1e-14
-        ratio[moving] = np.maximum(lam[moving], 0.0) / dw[moving]
+        ratio = np.divide(np.maximum(lam, 0.0), dw, out=np.full(dw.shape, np.inf),
+                          where=dw > 1e-14)
         ties = ratio <= ratio.min(axis=1, keepdims=True) + 1e-15
         leave = np.where(ties, basis, len(nodes)).argmin(axis=1)   # Bland
-        basis[np.arange(len(rows)), leave] = j
+        basis[at[:, 0], leave] = j
+        M[at[:, 0], :, leave] = col[:, :, 0]
     raise AssertionError("unreachable: the last pivot stops every row")
-
-
-def _width_radii(u: SupportFunction, outer, inner) -> WidthRadii:
-    """WidthRadii of u from its outer solve and the outer solve of -u."""
-    (rho_plus, center_out, outer), (neg_rho, neg_center, inner) = outer, inner
-    w = u.values + u.values[u.grid.antipode]
-    return WidthRadii(
-        w_plus=float(w.max()),
-        w_minus=float(w.min()),
-        rho_plus=rho_plus,
-        rho_minus=-neg_rho,
-        center_out=center_out,
-        center_in=-neg_center,
-        bases=(outer, inner),
-    )
 
 
 def width_radii(u: SupportFunction,
                 bases: tuple[NDArray, NDArray] | None = None) -> WidthRadii:
     """Extremal widths w+/- over node directions and outer/inner radii
-    rho+/rho- over the grid nodes (see `_radius_lp`); the inner radius is
+    rho+/rho- over the grid nodes (see `_radius_lps`); the inner radius is
     -(outer radius of -u), about the negated center.
 
     bases starts the outer and inner solves, each from its own basis:
     pass an earlier result's `bases` from a body on the same grid (a flow
     passes its previous sample's), or None to start both cold from
     `_start_basis`. Either start gives the same radii up to rounding.
-    This is the flows' driver; both verify suites solve cold through
-    `width_radii_stack`, which gives the same bits."""
-    nodes = u.grid.nodes
-    outer, inner = bases if bases is not None else (_start_basis(nodes), _start_basis(nodes))
-    return _width_radii(u, _radius_lp(nodes, u.values, outer),
-                        _radius_lp(nodes, -u.values, inner))
+    The two solves are one two-row stack; a failed solve raises its
+    RadiiNonConvergence, the outer solve's if both fail."""
+    if bases is None:
+        bases = (_start_basis(u.grid.nodes), _start_basis(u.grid.nodes))
+    wr = _stacked_radii([u], np.array(bases))[0]
+    if isinstance(wr, RadiiNonConvergence):
+        raise wr
+    return wr
 
 
 def width_radii_stack(bodies) -> list[WidthRadii | RadiiNonConvergence]:
     """`width_radii(u)` of each body, all on one grid, cold: the outer
-    and inner solves of every body are one stack (`_radius_lps`), which
-    for a suite of bodies costs a fraction of their one-row solves (for
-    one body it costs more). Returns, per body, its WidthRadii or the
-    error `width_radii` would raise: the outer solve's if both fail."""
+    and inner solves of every body are one stack, which for a suite of
+    bodies costs a fraction of their two-row solves. Returns, per body,
+    its WidthRadii or the error `width_radii` would raise."""
     if not bodies:
         return []
-    nodes = bodies[0].grid.nodes
+    return _stacked_radii(bodies, np.tile(_start_basis(bodies[0].grid.nodes),
+                                          (2 * len(bodies), 1)))
+
+
+def _stacked_radii(bodies, starts: NDArray) -> list[WidthRadii | RadiiNonConvergence]:
+    """Per body its WidthRadii, or its outer solve's RadiiNonConvergence,
+    else its inner solve's, from one `_radius_lps` stack of every body's
+    outer rows (u, from starts[:k]) and then inner rows (-u, from
+    starts[k:])."""
     values = np.array([u.values for u in bodies])
-    U = np.concatenate([values, -values])
-    solved = _radius_lps(nodes, U, np.tile(_start_basis(nodes), (len(U), 1)))
+    solved = _radius_lps(bodies[0].grid.nodes, np.concatenate([values, -values]), starts)
     out = []
     for u, outer, inner in zip(bodies, solved, solved[len(bodies):]):
         failed = [r for r in (outer, inner) if isinstance(r, RadiiNonConvergence)]
-        out.append(failed[0] if failed else _width_radii(u, outer, inner))
+        if failed:
+            out.append(failed[0])
+            continue
+        (rho_plus, center_out, basis_out), (neg_rho, neg_center, basis_in) = outer, inner
+        w = u.values + u.values[u.grid.antipode]
+        out.append(WidthRadii(w_plus=float(w.max()), w_minus=float(w.min()),
+                              rho_plus=rho_plus, rho_minus=-neg_rho, center_out=center_out,
+                              center_in=-neg_center, bases=(basis_out, basis_in)))
     return out
 
 
@@ -517,8 +504,9 @@ def random_bodies(seeds, dim: int, bandlimit: int, amplitude: float,
     is rejected and redrawn with halved amplitude until lambda_min(A) >=
     0.05; it gives up (RandomBodyFailure in its place) after 50
     rejections. Each round synthesizes and builds the draws of every seed
-    still drawing as one stack (`support_functions`), so a seed's body
-    does not depend on the other seeds.
+    still drawing as one stack (`sphere_grid.synthesize`,
+    `support_functions`), so a seed's body does not depend on the other
+    seeds.
     """
     if not 0.0 <= amplitude < 1.0:
         raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
@@ -535,7 +523,7 @@ def random_bodies(seeds, dim: int, bandlimit: int, amplitude: float,
         for row, (_, rng, amp) in zip(coeffs, drawing):
             for cube, of_degree in blocks:
                 row[of_degree] = rng.standard_normal(np.count_nonzero(of_degree)) * amp / cube
-        built = support_functions(grid, 1.0 + np.array([sg.synthesize(grid, c) for c in coeffs]))
+        built = support_functions(grid, 1.0 + sg.synthesize(grid, coeffs))
         redraw = []
         for (i, rng, amp), u in zip(drawing, built):
             if isinstance(u, ConvexityLost) or curvature_data(u).lam_min.min() < 0.05:

@@ -31,7 +31,7 @@ from numpy.linalg import _umath_linalg
 from numpy.typing import NDArray
 
 from . import sphere_grid as sg
-from .body import SupportFunction, curvature_data, dual_volume
+from .body import SupportFunction, curvature_data, dual_volume, values_about
 from .errors import AlphaZero, GaussFlowError, NonConvergence, NotInterior
 
 __all__ = [
@@ -68,19 +68,10 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _shifted(u: SupportFunction, z: NDArray) -> NDArray:
-    z = np.asarray(z, dtype=float)
-    uz = u.values - u.grid.nodes @ z
-    m = uz.min()
-    if m <= 0.0:
-        raise NotInterior(z, m)
-    return uz
-
-
 def entropy_at(u: SupportFunction, z: NDArray, alpha: float) -> float:
     """Entropy of the body about basepoint + z."""
     alpha = _check_alpha(alpha)
-    return float(_entropy(u.grid, _shifted(u, z), alpha))
+    return float(_entropy(u.grid, values_about(u, z), alpha))
 
 
 def _entropy(grid: sg.SphereGrid, uz: NDArray, alpha: float) -> NDArray:
@@ -357,7 +348,7 @@ def _final(u: SupportFunction, found, best) -> tuple:
     res, z, uz, it = found
     if best is not None and best[0] < res:
         res, z, it = best
-        uz = _shifted(u, z)
+        uz = values_about(u, z)
     if res > GRAD_TOL:
         raise NonConvergence(it, res)
     return res, z, uz, it

@@ -384,14 +384,14 @@ def analyze(grid: SphereGrid, values: NDArray) -> NDArray:
     """Expand node values in the orthonormal spectral basis.
 
     Circle layout: [constant, cos(1..L), sin(1..L)] scaled to unit L2 norm;
-    sphere layout: real harmonics packed as b = l^2 + l + m. On the
-    circle `values` may also be a (k, nodes) stack of fields, which gives
-    one row of coefficients per field.
+    sphere layout: real harmonics packed as b = l^2 + l + m. `values`
+    may also be a (k, nodes) stack of fields, which gives one row of
+    coefficients per field, with the bits of that field's own call.
     """
-    values = _check_values(grid, values, stack=grid.dim == 1)
+    values = _check_values(grid, values, stack=True)
     if grid.dim == 2:
         pairs = _sphere_analysis(grid, values)
-        return pairs.ravel()[grid._pair_index]
+        return pairs.reshape(values.shape[:-1] + (-1,))[..., grid._pair_index]
     N, L = grid.node_count, grid.bandlimit
     ch = np.fft.rfft(values)
     out = np.empty(values.shape[:-1] + (2 * L + 1,))
@@ -403,15 +403,17 @@ def analyze(grid: SphereGrid, values: NDArray) -> NDArray:
 
 def synthesize(grid: SphereGrid, coeffs: NDArray) -> NDArray:
     """Evaluate a coefficient vector (layout as in `analyze`) on the nodes;
-    on the circle a (k, coefficients) stack gives one row per vector."""
+    a (k, coefficients) stack gives one row per vector, with the bits of
+    that vector's own call."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1:] != (grid.coeff_count,) or coeffs.ndim > 1 + (grid.dim == 1):
+    if coeffs.shape[-1:] != (grid.coeff_count,) or coeffs.ndim > 2:
         raise ValueError(f"expected {grid.coeff_count} coefficients, got {coeffs.shape}")
     N, L = grid.node_count, grid.bandlimit
     if grid.dim == 2:
-        pairs = np.zeros((L + 1, L + 1, 2))
-        pairs.ravel()[grid._pair_index] = coeffs
-        return _sphere_synthesis(grid, pairs, _VALUE)[0]
+        lead = coeffs.shape[:-1]
+        pairs = np.zeros(lead + ((L + 1) * (L + 1) * 2,))
+        pairs[..., grid._pair_index] = coeffs
+        return _sphere_synthesis(grid, pairs.reshape(lead + (L + 1, L + 1, 2)), _VALUE)[..., 0, :]
     ch = np.zeros(coeffs.shape[:-1] + (N // 2 + 1,), dtype=complex)
     ch[..., 0] = coeffs[..., 0] * N / np.sqrt(2.0 * np.pi)
     ch[..., 1: L + 1] = ((coeffs[..., 1: L + 1] - 1j * coeffs[..., L + 1:])

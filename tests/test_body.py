@@ -318,7 +318,8 @@ def assert_same_radii(got, want):
 @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "symmetric"])
 @pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
 def test_stacked_radii_are_the_one_row_radii_on_fuzz_bodies(dim, L, symmetric):
-    # the stacked and the one-row solver are each other's reference
+    # a body's two rows have the same bits in a stack of 20 rows as in
+    # its own two-row stack
     bodies = [gb.random_body(seed, dim, L, 0.1, centrally_symmetric=symmetric)
               for seed in range(10)]
     for u, wr in zip(bodies, gb.width_radii_stack(bodies)):
@@ -331,7 +332,8 @@ def test_stacked_radii_are_the_one_row_radii_on_fuzz_bodies(dim, L, symmetric):
     ellipse_fine,
 ], ids=["ball-n1", "ball-n2", "ellipse"])
 def test_stacked_radii_are_the_one_row_radii_on_sharp_bodies(make):
-    # alone, and in a stack whose other rows stop at other pivots
+    # alone, and in a stack whose other rows stop at other pivots: a row's
+    # bits do not depend on the stack's height
     u = make()
     others = [gb.random_body(seed, u.dim, u.grid.bandlimit, 0.1) for seed in range(3)]
     assert_same_radii(gb.width_radii_stack([u])[0], gb.width_radii(u))
@@ -349,9 +351,59 @@ def test_a_refused_stacked_start_leaves_the_other_rows():
     assert isinstance(solved[1], RadiiNonConvergence)
     assert solved[1].gap == np.inf  # refused before any pivot
     for r in (0, 2):
-        rho, center, basis = solved[r]
-        rho0, center0, basis0 = gb._radius_lp(nodes, U[r], cold)
-        assert rho == rho0 and (center == center0).all() and (basis == basis0).all()
+        assert_same_solve(solved[r], gb._radius_lps(nodes, U[r:r + 1], cold[None])[0])
+
+
+def assert_same_solve(got, want):
+    (rho, center, basis), (rho0, center0, basis0) = got, want
+    assert rho == rho0 and (center == center0).all() and (basis == basis0).all()
+
+
+@pytest.mark.parametrize("dim, L", [(1, 16), (2, 8), (2, 32)])
+def test_warm_started_stack_rows_are_their_one_row_solves(dim, L):
+    # rows from different warm starts, each equal to its own one-row stack;
+    # a ball row (every node active) stops at its start, and the centrally
+    # symmetric row's degenerate pivots tie ratios that Bland's rule breaks
+    grid = sg.build_grid(dim, L)
+    nodes = grid.nodes
+    bodies = [gb.random_body(seed, dim, L, 0.1) for seed in range(4)]
+    symmetric = gb.random_body(5, dim, L, 0.1, centrally_symmetric=True)
+    warm = [gb.width_radii(u).bases for u in bodies]
+    U = np.array([u.values for u in bodies[1:]]
+                 + [-bodies[0].values, gb.ball(grid).values, symmetric.values])
+    starts = np.array([warm[0][0], warm[1][1], warm[2][0], warm[3][1], warm[3][0], warm[1][0]])
+    for r, solved in enumerate(gb._radius_lps(nodes, U, starts)):
+        assert_same_solve(solved, gb._radius_lps(nodes, U[r:r + 1], starts[r:r + 1])[0])
+
+
+def singular_start(grid):
+    """Two antipodal node pairs, which span a plane through the origin,
+    whose basis matrix LAPACK finds exactly singular: the first in node
+    order."""
+    nodes = grid.nodes
+    for i in range(grid.node_count):
+        for k in range(i + 1, grid.node_count):
+            basis = np.array([i, grid.antipode[i], k, grid.antipode[k]])
+            try:
+                np.linalg.inv(np.vstack([np.ones(4), nodes[basis].T]))
+            except np.linalg.LinAlgError:
+                return basis
+    raise AssertionError("no singular basis on this grid")
+
+
+def test_a_singular_basis_ends_its_row_in_radii_nonconvergence():
+    # a pivot on a rounding-sized entry can make such a basis
+    grid = sg.build_grid(2, 8)
+    nodes = grid.nodes
+    cold = gb._start_basis(nodes)
+    U = np.array([gb.random_body(seed, 2, 8, 0.1).values for seed in range(3)])
+    solved = gb._radius_lps(nodes, U, np.array([cold, singular_start(grid), cold]))
+    assert isinstance(solved[1], RadiiNonConvergence)
+    assert solved[1].gap == np.inf
+    for r in (0, 2):
+        assert_same_solve(solved[r], gb._radius_lps(nodes, U[r:r + 1], cold[None])[0])
+    with pytest.raises(RadiiNonConvergence):
+        gb.width_radii(gb.random_body(0, 2, 8, 0.1), (cold, singular_start(grid)))
 
 
 def test_pivot_cap_ends_in_radii_nonconvergence(monkeypatch, tmp_path):

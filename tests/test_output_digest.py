@@ -15,11 +15,12 @@ def test_two_runs_print_the_same_digests(tmp_path):
     for r in runs:
         assert r.returncode == 0, r.stderr
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 15 and lines[-1].startswith("total ")
-    # 3 sweep, 4 flow, 4 verify jobs, then the n=1 flow and the n=1 and n=2
-    # ball-suite writer jobs
+    assert len(lines) == 16 and lines[-1].startswith("total ")
+    # 3 sweep, 4 flow, 4 verify jobs, then the n=1 and n=2 flows and the
+    # n=1 and n=2 ball-suite writer jobs
     assert all(" exit=0 " in line for line in lines[:-1])
-    assert [line.split()[:3] for line in lines[-4:-1]] == [["writers", "0", "flow-n1"],
+    assert [line.split()[:3] for line in lines[-5:-1]] == [["writers", "0", "flow-n1"],
+                                                           ["writers", "0", "flow-n2"],
                                                            ["writers", "0", "ball-n1"],
                                                            ["writers", "0", "ball-n2"]]
     assert runs[1].stdout == runs[0].stdout

@@ -288,8 +288,10 @@ def test_evaluate_at_stack_is_rowwise(dim, L):
         np.testing.assert_array_equal(row, sg.evaluate_at(grid, field, thetas, phis))
 
 
-def test_circle_analyze_and_synthesize_stacks_are_rowwise():
-    grid = sg.build_grid(1, 16)
+@pytest.mark.parametrize("dim,L", [(1, 16), (2, 8), (2, 32)])
+def test_analyze_and_synthesize_stacks_are_rowwise(dim, L):
+    """A stack of fields gives, row for row, the bits of one call per field."""
+    grid = sg.build_grid(dim, L)
     fields = np.array([random_field(grid, seed=s) for s in (4, 5, 6)])
     coeffs = sg.analyze(grid, fields)
     assert coeffs.shape == (3, grid.coeff_count)
@@ -297,17 +299,14 @@ def test_circle_analyze_and_synthesize_stacks_are_rowwise():
     assert back.shape == fields.shape
     for c, b, field in zip(coeffs, back, fields):
         one = sg.analyze(grid, field)
-        assert_allclose(c, one, rtol=0, atol=1e-15)
-        assert_allclose(b, sg.synthesize(grid, one), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(c, one)
+        np.testing.assert_array_equal(b, sg.synthesize(grid, one))
     with pytest.raises(ValueError):
         sg.analyze(grid, fields[None])
     with pytest.raises(ValueError):
         sg.synthesize(grid, coeffs[:, :-1])
-    sphere = sg.build_grid(2, 8)
     with pytest.raises(ValueError):
-        sg.analyze(sphere, np.ones((2, sphere.node_count)))
-    with pytest.raises(ValueError):
-        sg.synthesize(sphere, np.ones((2, sphere.coeff_count)))
+        sg.synthesize(grid, coeffs[None])
 
 
 def test_pole_evaluation_uses_the_cached_table():

@@ -5,10 +5,12 @@ Runs the make-body set-up and every job of every workload in
 `perfbench/workloads.py` at each seed through `gaussflow.cli.main`,
 imported from `src/` of the checkout named by --repo (default: the one
 this file sits in). A last group, `writers`, adds jobs that no workload
-runs: an n=1 flow, which writes boundaries.svg, and `verify --suite ball`
-at n=1 (the only ball suite with curvature-image rows) and n=2. Prints one line per job: workload, seed, job key,
-exit code, and a sha256 over the job's output files, its stdout and its
-input body, if it has one. A total line over the job lines comes last.
+runs: an n=1 flow, which writes boundaries.svg, an n=2 flow whose radius
+solves start warm from bases that move, and `verify --suite ball` at n=1
+(the only ball suite with curvature-image rows) and n=2. Prints one line
+per job: workload, seed, job key, exit code, and a sha256 over the job's
+output files, its stdout and its input body, if it has one. A total line
+over the job lines comes last.
 
 Flow's config digest includes its input path, so two checkouts compare
 only when both runs use the same --work directory:
@@ -73,13 +75,20 @@ def job_digest(out: Path, stdout: str, input_path: Path | None) -> str:
 
 def writers(workloads, seed: int, work: Path):
     """The `writers` group at a seed: an n=1 random body flowed for a few
-    samples, and the ball suite at n=1 and n=2."""
-    body = work / "inputs" / f"body_n1_{seed}.json"
+    samples, an n=2 random body flowed for 11 samples (long enough for
+    the warm-started radius bases to pivot between samples), and the
+    ball suite at n=1 and n=2."""
+    body, body2 = (work / "inputs" / f"body_n{n}_{seed}.json" for n in (1, 2))
     setup = [["make-body", "--shape", "random", "--seed", str(seed), "--dim", "1",
-              "--bandlimit", "16", "--out", str(body)]]
+              "--bandlimit", "16", "--out", str(body)],
+             ["make-body", "--shape", "random", "--seed", str(seed), "--dim", "2",
+              "--bandlimit", "8", "--out", str(body2)]]
     jobs = [workloads.Job("flow-n1", ["flow", "--input", str(body), "--kind", "normalized",
                                       "--alpha", "1", "--t-end", "0.05",
                                       "--sample-every", "0.01"], None),
+            workloads.Job("flow-n2", ["flow", "--input", str(body2), "--kind", "normalized",
+                                      "--alpha", "1", "--t-end", "0.5",
+                                      "--sample-every", "0.05"], None),
             workloads.Job("ball-n1", ["verify", "--suite", "ball", "--dim", "1"], None),
             workloads.Job("ball-n2", ["verify", "--suite", "ball", "--dim", "2",
                                       "--bandlimit", "8"], None)]
